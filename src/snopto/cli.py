@@ -132,7 +132,7 @@ def _to_bool(value) -> bool:
     raise ConfigError(f"expected a boolean, got {value!r}")
 
 
-_STR_KEYS = {"material", "prescription", "kind", "truth", "method"}
+_STR_KEYS = {"material", "prescription", "kind", "truth"}
 _INT_KEYS = {"seed", "jobs", "n", "store_every", "npoints", "max_samples", "n_grid"}
 _BOOL_KEYS = {"all", "fit_only", "sweep"}
 
@@ -390,11 +390,10 @@ def cmd_synth(args) -> int:
         "gamma": 1.0,
         "duration": _REQUIRED,
         "dt": _REQUIRED,
-        "method": "auto",
         "seed": 0,
     })
     model = _alt_model(conf)
-    series = gen_baseband(model, conf["duration"], conf["dt"], conf["seed"], method=conf["method"])
+    series = gen_baseband(model, conf["duration"], conf["dt"], conf["seed"])
     out = _outdir(args)
     path = out / f"synth_{conf['kind']}_seed{conf['seed']}.csv"
     header_conf = {"dt": series.dt, "n": series.n, "seed": series.seed, "model": series.model_tag, **{k: v for k, v in conf.items() if k not in ("dt", "seed")}}
@@ -577,7 +576,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=parse_quantity)
     p.add_argument("--duration", type=parse_quantity)
     p.add_argument("--dt", type=parse_quantity)
-    p.add_argument("--method", choices=("auto", "cholesky", "circulant"))
     p.set_defaults(func=cmd_synth)
 
     p = subs.add_parser("detect", help="Monte Carlo verdict rates at a threshold")

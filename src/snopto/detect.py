@@ -15,12 +15,13 @@ cavity, the flat one is the standard-theory expectation, once the
 prescription-specific peak or dip is normalized away.
 
 Likelihoods are exact multivariate-normal densities with Toeplitz
-covariance; the per-series path factorizes through the Durbin-Levinson
-innovations recursion (O(N^2), no N x N matrix), while the Monte Carlo
-engine Cholesky-factorizes the covariance once per (model, N, dt) and
-whitens whole batches of trials in one triangular solve. A Whittle
-(periodogram) approximation is kept alongside as a documented fast path
-and cross-checked against the exact form in the tests.
+covariance. Both the per-series path and the Monte Carlo engine score
+through synth.CovarianceFactor, the O(N) exact Cholesky factor of the
+Lorentzian-on-white law: whitening a record gives its quadratic form, the
+factor's gains give the log-determinant, and the engine colours and
+whitens whole batches of trials in one pass over time. No N x N matrix is
+formed. The Whittle (periodogram) approximation is kept as the
+approximation criterion 7 tests, cross-checked against the exact form.
 
 Everything random is reproducible: trial i of outcome_probs draws from
 SeedSequence(entropy=master_seed, spawn_key=(i,)), and the duration
@@ -35,13 +36,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular, toeplitz
 from scipy.special import erfcinv
 
 from .errors import BoundedSearchError, ConfigError, DomainError
-from .synth import BasebandModel, BasebandSeries, covariance_row
+from .synth import BasebandModel, BasebandSeries, covariance_factor
 
-_CHUNK = 2048  # trials whitened per matrix product
+_CHUNK = 2048  # trials coloured and whitened per batch
 
 
 @dataclass(frozen=True)
@@ -138,10 +138,10 @@ def log_likelihood(series: BasebandSeries, model: BasebandModel) -> float:
     """Exact log-density of the record under the model's stationary law.
 
     Flat (or zero-amplitude) models reduce to the diagonal closed form.
-    Featured models run the Durbin-Levinson innovations recursion on the
+    Featured models whiten the record with the exact O(N) factor of the
     Toeplitz covariance: each sample is scored against its best linear
-    prediction from the past, which yields the log-determinant and the
-    quadratic form in one sweep without materializing the matrix.
+    prediction from the past, and the factor's gains give the
+    log-determinant, without materializing the matrix.
     """
     x = series.samples
     dt = series.dt
@@ -152,26 +152,9 @@ def log_likelihood(series: BasebandSeries, model: BasebandModel) -> float:
             f"dt * gamma = {dt * model.fwhm_gamma:.3f} > 0.5: the model's feature"
             " is unresolved at this sampling"
         )
-    n = x.size
-    r = covariance_row(model, n, dt)
-
-    v = r[0]
-    if v <= 0:
-        raise DomainError("covariance is not positive definite")
-    logdet = math.log(v)
-    quad = x[0] ** 2 / v
-    phi = np.empty(n)
-    for k in range(1, n):
-        kappa = (r[k] - np.dot(phi[: k - 1], r[k - 1 : 0 : -1])) / v
-        v = v * (1.0 - kappa * kappa)
-        if v <= 0:
-            raise DomainError("covariance is not positive definite")
-        phi[: k - 1] -= kappa * phi[: k - 1][::-1]
-        phi[k - 1] = kappa
-        e = x[k] - np.dot(phi[:k], x[k - 1 :: -1])
-        logdet += math.log(v)
-        quad += e * e / v
-    return -0.5 * (n * math.log(2 * math.pi) + logdet + quad)
+    factor = covariance_factor(model, x.size, dt)
+    u = factor.whiten(x)
+    return -0.5 * (x.size * math.log(2 * math.pi) + factor.logdet + float(np.dot(u, u)))
 
 
 def whittle_log_likelihood(series: BasebandSeries, model: BasebandModel) -> float:
@@ -237,24 +220,22 @@ def _y_batch(
 ) -> np.ndarray:
     """Y for trials lo..hi-1, each drawn from its own derived stream.
 
-    The alt covariance is factorized once; whole chunks of trials are then
-    whitened in single triangular solves. The flat quadratic form is just
-    dt times the column sums of squares, and the log-determinant
-    difference is a constant shared by every trial.
+    Each chunk of trials is coloured with the truth's factor and whitened
+    with the alt's. When the truth is the alt law the whitened vector is
+    the draw itself, so only colouring runs; a flat truth is white noise,
+    so only whitening runs. The flat quadratic form is dt times the
+    column sums of squares, and the log-determinant difference is a
+    constant shared by every trial.
     """
-    l_alt = cholesky(toeplitz(covariance_row(alt, n, dt)), lower=True)
-    lndet_alt = 2.0 * float(np.sum(np.log(np.diag(l_alt))))
-    lndet_flat = -n * math.log(dt)
+    f_alt = covariance_factor(alt, n, dt)
     if truth.kind == "flat":
-        l_truth = None
-    elif truth is alt or (
-        truth.kind == alt.kind
-        and truth.amplitude == alt.amplitude
-        and truth.fwhm_gamma == alt.fwhm_gamma
-    ):
-        l_truth = l_alt
+        f_truth = None
+    elif truth == alt:
+        f_truth = f_alt
     else:
-        l_truth = cholesky(toeplitz(covariance_row(truth, n, dt)), lower=True)
+        f_truth = covariance_factor(truth, n, dt)
+    lndet_alt = f_alt.logdet
+    lndet_flat = -n * math.log(dt)
 
     out = np.empty(hi - lo)
     sqrt_dt = math.sqrt(dt)
@@ -264,8 +245,8 @@ def _y_batch(
         for i in range(start, stop):
             ss = np.random.SeedSequence(entropy=master_seed, spawn_key=spawn_prefix + (i,))
             z[:, i - start] = np.random.default_rng(ss).standard_normal(n)
-        x = z / sqrt_dt if l_truth is None else l_truth @ z
-        u = solve_triangular(l_alt, x, lower=True)
+        x = z / sqrt_dt if f_truth is None else f_truth.colour(z)
+        u = z if f_truth is f_alt else f_alt.whiten(x)
         q_alt = np.sum(u * u, axis=0)
         q_flat = dt * np.sum(x * x, axis=0)
         out[start - lo : stop - lo] = 0.5 * ((lndet_alt - lndet_flat) + (q_alt - q_flat))

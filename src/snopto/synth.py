@@ -9,13 +9,17 @@ in double-sided convention with the d omega / 2 pi measure. Its
 autocovariance is a delta at lag zero (value 1/dt once discretized)
 plus +- a (gamma/4) exp(-gamma |tau| / 2).
 
-Records are drawn two ways and cross-validated against each other: an
-exact Cholesky factorization of the Toeplitz covariance for short series,
-and circulant embedding with frequency-domain synthesis for long ones.
-Both are exact samplers of a stationary Gaussian law; they simply spend
-their floating-point effort differently, and they consume the random
-stream differently, so series from the two methods with the same seed are
-different realizations of the same law.
+The featured law has a single-pole covariance, r_0 = 1/dt + s and
+r_k = s rho^k with s = +- a gamma / 4 and rho = exp(-gamma dt / 2), so one
+AR step turns a record into an MA(1) series: w_0 = x_0 and
+w_k = x_k - rho x_{k-1} have a tridiagonal covariance. Its bidiagonal
+Cholesky factor comes from one scalar pass (the innovations algorithm of
+Brockwell & Davis, Time Series: Theory and Methods, sections 5.2 and 8.7),
+and composed with the AR step it is the exact Cholesky factor of the
+Toeplitz covariance. CovarianceFactor applies it in O(n) per record:
+colouring standard normals draws a record, whitening a record scores it,
+and the log-determinant is a sum over the gains. No n x n matrix is ever
+formed.
 
 Short records are statistically legitimate at any length >= 2 (the
 covariance is exact, nothing here is asymptotic); they are only
@@ -32,23 +36,22 @@ independent quadratures.
 
 Seed discipline, used verbatim by the decision Monte Carlo: trial i of a
 run with master seed s draws from
-numpy.random.default_rng(numpy.random.SeedSequence(entropy=s, spawn_key=(i,))).
+numpy.random.default_rng(numpy.random.SeedSequence(entropy=s, spawn_key=(i,))),
+and its record is the exact factor applied to the first n standard normals
+of that stream. gen_baseband with seed s is trial 0 of gen_ensemble with
+master seed s.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+import math
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky, toeplitz
 
 from .errors import ConfigError, DomainError
 
 KINDS = ("flat", "peak", "dip")
-
-# beyond the cholesky_max_n cutoff the O(n^3) factorization stops paying
-CHOLESKY_MAX_N = 4000
 
 
 @dataclass(frozen=True)
@@ -179,6 +182,78 @@ def covariance_row(model: BasebandModel, n: int, dt: float) -> np.ndarray:
     return row
 
 
+@dataclass(frozen=True)
+class CovarianceFactor:
+    """Exact Cholesky factor L of a baseband law's Toeplitz covariance.
+
+    L = A^-1 M, where A is the AR step (unit diagonal, -rho below it) and
+    M is the lower bidiagonal Cholesky factor of Cov(A x), with diagonal m
+    and subdiagonal l (l[0] is unused). Arrays of shape (n,) or (n, trials)
+    are transformed along their first axis, so a batch of records runs
+    each recursion once over time.
+    """
+
+    rho: float
+    m: np.ndarray
+    l: np.ndarray
+
+    @property
+    def logdet(self) -> float:
+        """log det of the covariance, 2 sum log m_k."""
+        return 2.0 * float(np.sum(np.log(self.m)))
+
+    def _column(self, v: np.ndarray, ndim: int) -> np.ndarray:
+        return v.reshape((-1,) + (1,) * (ndim - 1))
+
+    def colour(self, z: np.ndarray) -> np.ndarray:
+        """L z: a record of the law from standard normals z."""
+        x = z * self._column(self.m, z.ndim)
+        x[1:] += self._column(self.l[1:], z.ndim) * z[:-1]
+        rho = self.rho
+        for k in range(1, x.shape[0]):
+            x[k] += rho * x[k - 1]
+        return x
+
+    def whiten(self, x: np.ndarray) -> np.ndarray:
+        """L^-1 x: the standardized innovations of record x."""
+        u = x.copy()
+        u[1:] -= self.rho * x[:-1]
+        u /= self._column(self.m, x.ndim)
+        g = self.l / self.m
+        for k in range(1, u.shape[0]):
+            u[k] -= g[k] * u[k - 1]
+        return u
+
+
+def covariance_factor(model: BasebandModel, n: int, dt: float) -> CovarianceFactor:
+    """The O(n) Cholesky factor of the n x n covariance of covariance_row.
+
+    With w = A x, Cov(w) is tridiagonal: r_0 then (1 + rho^2)/dt +
+    s (1 - rho^2) on the diagonal, -rho/dt beside it. One scalar pass
+    factors it. The flat law has s = 0 and is taken with rho = 0, which
+    makes the factor diagonal.
+    """
+    if n < 1:
+        raise ConfigError("need n >= 1")
+    if dt <= 0:
+        raise ConfigError(f"dt must be > 0, got {dt}")
+    s = model._sign * model.amplitude * model.fwhm_gamma / 4.0
+    rho = math.exp(-model.fwhm_gamma * dt / 2.0) if s else 0.0
+    diag = (1.0 + rho * rho) / dt + s * (1.0 - rho * rho)
+    off = -rho / dt
+    m = np.empty(n)
+    l = np.zeros(n)
+    v = 1.0 / dt + s
+    for k in range(n):
+        if k:
+            l[k] = off / m[k - 1]
+            v = diag - l[k] * l[k]
+        if not v > 0:
+            raise DomainError("covariance is not positive definite")
+        m[k] = math.sqrt(v)
+    return CovarianceFactor(rho=rho, m=m, l=l)
+
+
 def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
     """Per-trial generator; the documented bit-exact derivation rule."""
     ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(trial_index,))
@@ -192,70 +267,14 @@ def _check_resolution(model: BasebandModel, dt: float):
         )
 
 
-@lru_cache(maxsize=8)
-def _cholesky_factor(kind: str, amplitude: float, fwhm_gamma: float, n: int, dt: float):
-    model = BasebandModel(kind, amplitude, fwhm_gamma)
-    sigma = toeplitz(covariance_row(model, n, dt))
-    return cholesky(sigma, lower=True)
-
-
-@lru_cache(maxsize=8)
-def _embedding_eigs(kind: str, amplitude: float, fwhm_gamma: float, n: int, dt: float):
-    """Eigenvalues of the circulant embedding of the covariance.
-
-    The covariance row is periodized to length 2n - 2 (the classic minimal
-    embedding); its discrete transform gives the circulant eigenvalues.
-    For an exponentially decaying row on top of a dominant white diagonal
-    they are provably positive; tiny negative round-off is clamped to zero,
-    anything materially negative means the embedding failed.
-    """
-    model = BasebandModel(kind, amplitude, fwhm_gamma)
-    row = covariance_row(model, n, dt)
-    ext = np.concatenate([row, row[-2:0:-1]])
-    lam = np.fft.fft(ext).real
-    floor = -1e-12 * lam.max()
-    if lam.min() < floor:
-        raise DomainError(
-            f"circulant embedding not non-negative definite (min eig {lam.min():.3e})"
-        )
-    return np.clip(lam, 0.0, None)
-
-
-def gen_baseband(
-    model: BasebandModel,
-    duration: float,
-    dt: float,
-    seed: int,
-    method: str = "auto",
-) -> BasebandSeries:
+def gen_baseband(model: BasebandModel, duration: float, dt: float, seed: int) -> BasebandSeries:
     """Draw one zero-mean stationary Gaussian record of the model spectrum.
 
-    n = round(duration / dt) samples. method "cholesky" factorizes the
-    exact Toeplitz covariance (cost n^3, used automatically up to
-    n = 4000); "circulant" synthesizes through the embedding transform
-    (n log n, used above). Deterministic given (model, duration, dt, seed,
-    method actually used).
+    n = round(duration / dt) samples, the exact factor of the model's
+    covariance applied to n standard normals from trial_rng(seed, 0), at
+    O(n) cost for any n. Deterministic given (model, duration, dt, seed).
     """
-    if dt <= 0:
-        raise ConfigError(f"dt must be > 0, got {dt}")
-    n = int(round(duration / dt))
-    if n < 2:
-        raise ConfigError(f"duration {duration} at dt {dt} gives {n} samples; need >= 2")
-    _check_resolution(model, dt)
-    if method not in ("auto", "cholesky", "circulant"):
-        raise ConfigError(f"unknown method {method!r}")
-
-    rng = trial_rng(int(seed), 0)
-    if model.kind == "flat":
-        samples = rng.standard_normal(n) / np.sqrt(dt)
-    elif method == "cholesky" or (method == "auto" and n <= CHOLESKY_MAX_N):
-        lfac = _cholesky_factor(model.kind, model.amplitude, model.fwhm_gamma, n, dt)
-        samples = lfac @ rng.standard_normal(n)
-    else:
-        lam = _embedding_eigs(model.kind, model.amplitude, model.fwhm_gamma, n, dt)
-        m = lam.size
-        z = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        samples = np.fft.fft(z * np.sqrt(lam / m)).real[:n]
+    samples = gen_ensemble(model, duration, dt, int(seed), 1)[0]
     return BasebandSeries(dt=dt, samples=samples, seed=int(seed), model_tag=model.tag)
 
 
@@ -265,13 +284,11 @@ def gen_ensemble(
     dt: float,
     master_seed: int,
     n_trials: int,
-    method: str = "auto",
 ) -> np.ndarray:
     """(n_trials, n) array of independent records, one per derived trial seed.
 
-    Row i is drawn from trial_rng(master_seed, i); the heavy factor or
-    eigenvalue table is computed once and the Gaussian draws are applied
-    in a single matrix product, so large ensembles cost what they should.
+    Row i colours the first n standard normals of trial_rng(master_seed, i);
+    the whole ensemble runs through the factor in one batched pass.
     """
     if n_trials < 1:
         raise ConfigError("n_trials must be >= 1")
@@ -282,29 +299,12 @@ def gen_ensemble(
         raise ConfigError(f"duration {duration} at dt {dt} gives {n} samples; need >= 2")
     _check_resolution(model, dt)
 
+    z = np.empty((n, n_trials))
+    for i in range(n_trials):
+        z[:, i] = trial_rng(master_seed, i).standard_normal(n)
     if model.kind == "flat":
-        out = np.empty((n_trials, n))
-        for i in range(n_trials):
-            out[i] = trial_rng(master_seed, i).standard_normal(n)
-        return out / np.sqrt(dt)
-
-    if method == "cholesky" or (method == "auto" and n <= CHOLESKY_MAX_N):
-        lfac = _cholesky_factor(model.kind, model.amplitude, model.fwhm_gamma, n, dt)
-        z = np.empty((n, n_trials))
-        for i in range(n_trials):
-            z[:, i] = trial_rng(master_seed, i).standard_normal(n)
-        return (lfac @ z).T
-    if method in ("auto", "circulant"):
-        lam = _embedding_eigs(model.kind, model.amplitude, model.fwhm_gamma, n, dt)
-        m = lam.size
-        scale = np.sqrt(lam / m)
-        out = np.empty((n_trials, n))
-        for i in range(n_trials):
-            rng = trial_rng(master_seed, i)
-            z = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-            out[i] = np.fft.fft(z * scale).real[:n]
-        return out
-    raise ConfigError(f"unknown method {method!r}")
+        return (z / np.sqrt(dt)).T
+    return covariance_factor(model, n, dt).colour(z).T
 
 
 def gen_from_psd(psd, duration: float, dt: float, seed: int) -> BasebandSeries:

@@ -3,7 +3,9 @@
 Two workhorse setups appear throughout the suite: a room-temperature
 tungsten torsion pendulum probed hard enough to sit near its measurement
 limit, and a cryogenic osmium one run softly. Frozen expected values in the
-tests were computed for exactly these numbers.
+tests were computed for exactly these numbers. ORACLE_GRID is the set of
+baseband laws on which the O(n) covariance factor and the likelihoods are
+checked against dense Cholesky references.
 """
 
 import math
@@ -11,6 +13,19 @@ import math
 import pytest
 
 from snopto.response import OpticalConfig, OscillatorConfig
+from snopto.synth import BasebandModel
+
+
+# peak heights, dip depths, dt * gamma from finely sampled to the
+# resolution limit, and record lengths down to the two-sample floor
+ORACLE_MODELS = [BasebandModel("peak", amplitude=h, fwhm_gamma=1.0) for h in (0.5, 10.0, 1000.0)]
+ORACLE_MODELS += [BasebandModel("dip", amplitude=d, fwhm_gamma=1.0) for d in (0.1, 0.62, 0.99)]
+ORACLE_GRID = [
+    pytest.param(m, dt, n, id=f"{m.kind}{m.amplitude:g}-dt{dt:g}-n{n}")
+    for m in ORACLE_MODELS
+    for dt in (0.01, 0.14, 0.5)
+    for n in (2, 3, 300)
+]
 
 
 def tungsten_osc() -> OscillatorConfig:

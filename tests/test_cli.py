@@ -167,6 +167,13 @@ class TestSynth:
                    "--duration", "10", "--dt", "0.1", "--outdir", str(tmp_path)])
         assert rc == 1
 
+    def test_method_key_rejected(self, tmp_path, capsys):
+        # one exact sampler serves every length; there is nothing to select
+        conf = tmp_path / "synth.conf"
+        conf.write_text("kind = dip\namp = 0.62\nduration = 10\ndt = 0.14\nmethod = cholesky\n")
+        assert main(["synth", "--config", str(conf), "--outdir", str(tmp_path)]) == 2
+        assert "method" in capsys.readouterr().err
+
 
 class TestDetect:
     def test_report_and_config_round_trip(self, tmp_path):

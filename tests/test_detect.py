@@ -1,11 +1,13 @@
 """Likelihoods against dense oracles, verdict rates against frozen targets."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.linalg import toeplitz
 
+from conftest import ORACLE_GRID
 from snopto.errors import BoundedSearchError, ConfigError, DomainError
 from snopto.detect import (
     DecisionReport,
@@ -44,6 +46,14 @@ def _dense_loglike(x, model, dt):
     assert sign > 0
     quad = x @ np.linalg.solve(sigma, x)
     return -0.5 * (x.size * np.log(2 * np.pi) + logdet + quad)
+
+
+def _dense_y(x, pair, dt):
+    return _dense_loglike(x, pair.null_model, dt) - _dense_loglike(x, pair.alt_model, dt)
+
+
+def _dense_record(model, z, dt):
+    return np.linalg.cholesky(toeplitz(covariance_row(model, z.size, dt))) @ z
 
 
 class TestPairAndDecide:
@@ -93,6 +103,13 @@ class TestLogLikelihood:
         s = gen_baseband(FLAT, 64 * 0.14, 0.14, seed=9)
         ll = log_likelihood(s, DIP)
         assert ll == pytest.approx(_dense_loglike(s.samples, DIP, 0.14), rel=1e-12)
+
+    @pytest.mark.parametrize("model,dt,n", ORACLE_GRID)
+    def test_dense_oracle_grid(self, model, dt, n):
+        # a white record scored under the featured law, across the grid
+        x = np.random.default_rng(n).standard_normal(n) / math.sqrt(dt)
+        ll = log_likelihood(BasebandSeries(dt, x, 0, "x"), model)
+        assert ll == pytest.approx(_dense_loglike(x, model, dt), rel=1e-12)
 
     def test_unresolved_model_rejected(self):
         s = BasebandSeries(0.6, np.zeros(16) + 0.1, 0, "x")
@@ -158,15 +175,15 @@ class TestWhittle:
 
 class TestEngine:
     def test_engine_matches_single_series_path(self):
-        # the batched Cholesky whitening and the Levinson recursion are
-        # independent routes to the same number
+        # the batched engine, the per-series likelihood and the dense
+        # Cholesky route are three routes to the same number
         n, dt = 300, 0.14
         ys = y_ensemble(DIP, PAIR_DIP, n * dt, dt, 5, master_seed=7)
-        lchol = np.linalg.cholesky(toeplitz(covariance_row(DIP, n, dt)))
         for i in range(5):
-            z = trial_rng(7, i).standard_normal(n)
-            s = BasebandSeries(dt, lchol @ z, 0, "x")
+            x = _dense_record(DIP, trial_rng(7, i).standard_normal(n), dt)
+            s = BasebandSeries(dt, x, 0, "x")
             assert ys[i] == pytest.approx(estimator_y(s, PAIR_DIP), rel=1e-10)
+            assert ys[i] == pytest.approx(_dense_y(x, PAIR_DIP, dt), rel=1e-10)
 
     def test_flat_truth_matches_generator(self):
         n, dt = 200, 0.14
@@ -175,6 +192,38 @@ class TestEngine:
             z = trial_rng(11, i).standard_normal(n)
             s = BasebandSeries(dt, z / np.sqrt(dt), 0, "x")
             assert ys[i] == pytest.approx(estimator_y(s, PAIR_DIP), rel=1e-10)
+            assert ys[i] == pytest.approx(_dense_y(s.samples, PAIR_DIP, dt), rel=1e-10)
+
+    @pytest.mark.parametrize("truth,pair", [(PEAK, PAIR_DIP), (DIP, PAIR_PEAK)])
+    def test_featured_truth_other_than_alt_matches_dense(self, truth, pair):
+        # records coloured by the truth's factor, whitened by the alt's
+        n, dt = 300, 0.14
+        ys = y_ensemble(truth, pair, n * dt, dt, 4, master_seed=13)
+        for i in range(4):
+            x = _dense_record(truth, trial_rng(13, i).standard_normal(n), dt)
+            assert ys[i] == pytest.approx(_dense_y(x, pair, dt), rel=1e-10)
+
+    @pytest.mark.parametrize("truth", [FLAT, DIP])
+    def test_memory_stays_linear_in_record_length(self, truth):
+        # a dense factor at n = 8192 alone would be 537 MB; the batch of
+        # 64 records is 4 MB per array
+        tracemalloc.start()
+        try:
+            y_ensemble(truth, PAIR_DIP, 8192 * 0.14, 0.14, 64, master_seed=17)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
+    @pytest.mark.parametrize("truth", [FLAT, DIP])
+    def test_results_independent_of_jobs(self, truth):
+        # 4100 trials is past the two-chunk threshold, so jobs=2 really
+        # splits the run across worker processes
+        dt = 0.14
+        one = y_ensemble(truth, PAIR_DIP, 64 * dt, dt, 4100, master_seed=19, jobs=1)
+        two = y_ensemble(truth, PAIR_DIP, 64 * dt, dt, 4100, master_seed=19, jobs=2)
+        assert np.array_equal(one, two)
+        assert np.array_equal(one[:7], y_ensemble(truth, PAIR_DIP, 64 * dt, dt, 7, master_seed=19))
 
     def test_sign_of_ensemble_means(self):
         dur, dt = 200.0, 0.14

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
+from scipy.linalg import toeplitz
 
+from conftest import ORACLE_GRID
 from snopto.errors import ConfigError, DomainError
 from snopto.synth import (
     BasebandModel,
     BasebandSeries,
     ComplexBaseband,
     DemodConfig,
+    covariance_factor,
     covariance_row,
     demodulate,
     gen_baseband,
@@ -26,6 +29,10 @@ from snopto.synth import (
 PEAK = BasebandModel("peak", amplitude=10.0, fwhm_gamma=1.0)
 DIP = BasebandModel("dip", amplitude=0.62, fwhm_gamma=1.0)
 FLAT = BasebandModel("flat")
+
+
+def _dense_factor(model, n, dt):
+    return np.linalg.cholesky(toeplitz(covariance_row(model, n, dt)))
 
 
 class TestModel:
@@ -107,6 +114,35 @@ class TestTargetAutocovariance:
         assert row[1] == pytest.approx(2.5 * np.exp(-0.07))
 
 
+class TestCovarianceFactor:
+    @pytest.mark.parametrize("model,dt,n", ORACLE_GRID)
+    def test_matches_dense_cholesky(self, model, dt, n):
+        factor = covariance_factor(model, n, dt)
+        lfac = _dense_factor(model, n, dt)
+        z = np.random.default_rng(n).standard_normal((n, 3))
+        x = lfac @ z
+        assert np.abs(factor.colour(z) - x).max() <= 1e-11 * np.abs(x).max()
+        assert np.abs(factor.whiten(x) - z).max() <= 1e-11 * np.abs(z).max()
+        sign, logdet = np.linalg.slogdet(toeplitz(covariance_row(model, n, dt)))
+        assert sign > 0
+        assert factor.logdet == pytest.approx(logdet, rel=1e-12)
+
+    def test_records_transform_independently(self):
+        # a batch column is bit-identical to the same record run alone
+        factor = covariance_factor(DIP, 200, 0.14)
+        z = np.random.default_rng(5).standard_normal((200, 4))
+        x = factor.colour(z)
+        assert np.array_equal(factor.colour(z[:, 2]), x[:, 2])
+        assert np.array_equal(factor.whiten(x[:, 1]), factor.whiten(x)[:, 1])
+
+    def test_flat_law_is_diagonal(self):
+        factor = covariance_factor(FLAT, 5, 0.1)
+        assert factor.rho == 0.0
+        z = np.arange(5.0)
+        assert np.allclose(factor.colour(z), z / np.sqrt(0.1), rtol=1e-15)
+        assert factor.logdet == pytest.approx(-5 * np.log(0.1), rel=1e-15)
+
+
 class TestGeneratorBasics:
     def test_deterministic_given_seed(self):
         a = gen_baseband(PEAK, 200.0, 0.14, seed=77)
@@ -118,10 +154,17 @@ class TestGeneratorBasics:
         b = gen_baseband(PEAK, 200.0, 0.14, seed=78)
         assert not np.array_equal(a.samples, b.samples)
 
-    def test_circulant_method_deterministic(self):
-        a = gen_baseband(PEAK, 200.0, 0.14, seed=5, method="circulant")
-        b = gen_baseband(PEAK, 200.0, 0.14, seed=5, method="circulant")
-        assert np.array_equal(a.samples, b.samples)
+    def test_records_colour_the_trial_streams(self):
+        # the documented stream: record i is the exact covariance factor
+        # applied to the first n normals of trial_rng(seed, i)
+        n, dt = 300, 0.14
+        lfac = _dense_factor(DIP, n, dt)
+        s = gen_baseband(DIP, n * dt, dt, seed=31)
+        x = gen_ensemble(DIP, n * dt, dt, master_seed=31, n_trials=3)
+        assert np.array_equal(s.samples, x[0])
+        for i in range(3):
+            expected = lfac @ trial_rng(31, i).standard_normal(n)
+            assert np.abs(x[i] - expected).max() <= 1e-11 * np.abs(expected).max()
 
     def test_length_and_metadata(self):
         s = gen_baseband(PEAK, 200.0, 0.14, seed=1)
@@ -136,10 +179,6 @@ class TestGeneratorBasics:
     def test_too_short_rejected(self):
         with pytest.raises(ConfigError):
             gen_baseband(FLAT, 0.1, 0.14, seed=1)
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ConfigError):
-            gen_baseband(PEAK, 200.0, 0.14, seed=1, method="spectral")
 
     def test_flat_series_variance(self):
         s = gen_baseband(FLAT, 2000.0, 0.1, seed=3)
@@ -184,33 +223,21 @@ class TestGeneratorStatistics:
         z = x[:, 0] / np.sqrt(target_autocovariance(PEAK, 0.0, dt=0.14))
         assert stats.kstest(z, "norm").pvalue > 0.01
 
-    @pytest.mark.parametrize("method", ["cholesky", "circulant"])
-    def test_ensemble_autocovariance_matches_target(self, method):
+    def test_ensemble_autocovariance_matches_target(self):
         n_tr, dur, dt = 3000, 168.0, 0.14
-        x = gen_ensemble(PEAK, dur, dt, master_seed=200, n_trials=n_tr, method=method)
+        x = gen_ensemble(PEAK, dur, dt, master_seed=200, n_trials=n_tr)
         n = x.shape[1]
         c0 = target_autocovariance(PEAK, 0.0, dt=dt)
         for k in range(0, 21, 4):
             emp = np.mean(x[:, : n - k] * x[:, k:]) if k else np.mean(x**2)
             tgt = target_autocovariance(PEAK, k * dt, dt=dt)
-            assert abs(emp - tgt) < 0.01 * c0, f"lag {k} ({method})"
-
-    def test_methods_agree_on_covariance(self):
-        n_tr, dur, dt = 3000, 168.0, 0.14
-        xa = gen_ensemble(PEAK, dur, dt, master_seed=300, n_trials=n_tr, method="cholesky")
-        xb = gen_ensemble(PEAK, dur, dt, master_seed=301, n_trials=n_tr, method="circulant")
-        c0 = target_autocovariance(PEAK, 0.0, dt=dt)
-        n = xa.shape[1]
-        for k in (0, 1, 7, 14):
-            ea = np.mean(xa[:, : n - k] * xa[:, k:]) if k else np.mean(xa**2)
-            eb = np.mean(xb[:, : n - k] * xb[:, k:]) if k else np.mean(xb**2)
-            assert abs(ea - eb) < 0.01 * c0, f"lag {k}"
+            assert abs(emp - tgt) < 0.01 * c0, f"lag {k}"
 
     def test_mean_periodogram_matches_psd(self):
         # Welch average over the ensemble against the target spectrum,
         # within 5% through the feature band
         dur, dt = 200.0, 0.14
-        x = gen_ensemble(PEAK, dur, dt, master_seed=400, n_trials=6000, method="circulant")
+        x = gen_ensemble(PEAK, dur, dt, master_seed=400, n_trials=6000)
         n = x.shape[1]
         pxx = (np.abs(np.fft.fft(x, axis=1)) ** 2).mean(axis=0) * dt / n
         omega = 2 * np.pi * np.fft.fftfreq(n, d=dt)
