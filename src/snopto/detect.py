@@ -23,17 +23,20 @@ whitens whole batches of trials in one pass over time. No N x N matrix is
 formed. The Whittle (periodogram) approximation is kept as the
 approximation criterion 7 tests, cross-checked against the exact form.
 
-Everything random is reproducible: trial i of outcome_probs draws from
-SeedSequence(entropy=master_seed, spawn_key=(i,)), and the duration
-search uses spawn_key=(n_samples, truth_index, i) so that every duration
-probed gets fresh, fully determined noise.
+Everything random is reproducible (synth.SEED_CONTRACT): trial i of
+outcome_probs draws from SeedSequence(entropy=master_seed, spawn_key=(i,)).
+The duration search and duration_sweep use spawn_key=(truth_index, i),
+truth 0 the flat law and 1 the alt, with no duration in the key: records
+are nested, the record of n samples being the first n samples of the
+trial's longer record, so one pass over time scores every duration up to
+its length and every duration sees the same noise.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erfcinv
@@ -41,7 +44,8 @@ from scipy.special import erfcinv
 from .errors import BoundedSearchError, ConfigError, DomainError
 from .synth import BasebandModel, BasebandSeries, covariance_factor
 
-_CHUNK = 2048  # trials coloured and whitened per batch
+_CHUNK_TRIALS = 2048  # trials coloured and whitened per batch of short records
+_CHUNK_SAMPLES = 2**22  # samples per batch (32 MB per array) once records are long
 
 
 @dataclass(frozen=True)
@@ -108,6 +112,9 @@ class TauMinResult:
     fit_prediction: float  # s, halved convention, from the printed fits
     master_seed: int
     n_samples: int
+    # (n_samples, feasible, y_th, worst) per probe, in search order; a
+    # diagnostic, left out of as_dict so reports do not change
+    probes: tuple = ()
 
     def __post_init__(self):
         if self.tau_min <= 0:
@@ -208,25 +215,40 @@ def decide(y: float, y_th: float) -> str:
 # ------------------------------------------------------------ the MC engine
 
 
+def _chunk_trials(n: int) -> int:
+    """Trials per batch for records of n samples."""
+    return min(_CHUNK_TRIALS, max(1, _CHUNK_SAMPLES // n))
+
+
 def _y_batch(
     truth: BasebandModel,
     alt: BasebandModel,
-    n: int,
+    ns: list,
     dt: float,
     master_seed: int,
     spawn_prefix: tuple,
     lo: int,
     hi: int,
 ) -> np.ndarray:
-    """Y for trials lo..hi-1, each drawn from its own derived stream.
+    """Y at every record length in ns (ascending) for trials lo..hi-1.
+
+    Returns a (len(ns), hi - lo) block from one pass over time. Trial i
+    draws max(ns) standard normals from its own derived stream. The
+    factor is causal and the first n gains of a longer factor are the
+    length-n factor, so the record of n samples is the first n samples of
+    the long one. Sample k adds half of (2 log m_k + log dt) + u_k^2 -
+    dt x_k^2 to Y: the log-determinant difference and the two quadratic
+    forms. A running sum along time then gives Y at every prefix; it runs
+    sequentially per trial, so no value depends on how many trials share
+    a chunk or a worker.
 
     Each chunk of trials is coloured with the truth's factor and whitened
     with the alt's. When the truth is the alt law the whitened vector is
     the draw itself, so only colouring runs; a flat truth is white noise,
-    so only whitening runs. The flat quadratic form is dt times the
-    column sums of squares, and the log-determinant difference is a
-    constant shared by every trial.
+    so only whitening runs.
     """
+    n = ns[-1]
+    rows = np.asarray(ns) - 1
     f_alt = covariance_factor(alt, n, dt)
     if truth.kind == "flat":
         f_truth = None
@@ -234,23 +256,69 @@ def _y_batch(
         f_truth = f_alt
     else:
         f_truth = covariance_factor(truth, n, dt)
-    lndet_alt = f_alt.logdet
-    lndet_flat = -n * math.log(dt)
+    lndet = np.cumsum(2.0 * np.log(f_alt.m) + math.log(dt))[rows]
 
-    out = np.empty(hi - lo)
+    out = np.empty((len(ns), hi - lo))
     sqrt_dt = math.sqrt(dt)
-    for start in range(lo, hi, _CHUNK):
-        stop = min(start + _CHUNK, hi)
+    step = _chunk_trials(n)
+    for start in range(lo, hi, step):
+        stop = min(start + step, hi)
         z = np.empty((n, stop - start))
         for i in range(start, stop):
             ss = np.random.SeedSequence(entropy=master_seed, spawn_key=spawn_prefix + (i,))
             z[:, i - start] = np.random.default_rng(ss).standard_normal(n)
-        x = z / sqrt_dt if f_truth is None else f_truth.colour(z)
-        u = z if f_truth is f_alt else f_alt.whiten(x)
-        q_alt = np.sum(u * u, axis=0)
-        q_flat = dt * np.sum(x * x, axis=0)
-        out[start - lo : stop - lo] = 0.5 * ((lndet_alt - lndet_flat) + (q_alt - q_flat))
+        if f_truth is f_alt:
+            u, x = z, f_alt.colour(z)
+        else:
+            x = z / sqrt_dt if f_truth is None else f_truth.colour(z)
+            del z
+            u = f_alt.whiten(x)
+        u *= u
+        x *= x
+        x *= dt
+        u -= x
+        del x
+        for k in range(1, n):  # row by row: np.cumsum along axis 0 is 8x slower
+            u[k] += u[k - 1]
+        out[:, start - lo : stop - lo] = u[rows]
+        del u  # at most three (n, chunk) arrays are live at once
+    out += lndet[:, None]
+    out *= 0.5
     return out
+
+
+def _y_table(
+    truth: BasebandModel,
+    alt: BasebandModel,
+    ns: list,
+    dt: float,
+    n_trials: int,
+    master_seed: int,
+    spawn_prefix: tuple,
+    jobs: int,
+) -> np.ndarray:
+    """_y_batch over trials 0..n_trials-1, split into `jobs` worker ranges."""
+    args = (truth, alt, ns, dt, master_seed, spawn_prefix)
+    if jobs <= 1 or n_trials < 2 * _chunk_trials(ns[-1]):
+        return _y_batch(*args, 0, n_trials)
+    bounds = np.linspace(0, n_trials, jobs + 1).astype(int)
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        futs = [
+            pool.submit(_y_batch, *args, int(bounds[j]), int(bounds[j + 1]))
+            for j in range(jobs)
+        ]
+        return np.concatenate([f.result() for f in futs], axis=1)
+
+
+def _check_ensemble(truth: BasebandModel, pair: HypothesisPair, n: int, dt: float, n_trials: int):
+    if n < 2:
+        raise ConfigError(f"records of {n} samples at dt {dt}; need >= 2")
+    if n_trials < 1:
+        raise ConfigError("n_trials must be >= 1")
+    if truth.kind != "flat" and dt * truth.fwhm_gamma > 0.5:
+        raise ConfigError("dt too coarse for the truth model's feature")
+    if pair.alt_model.amplitude > 0 and dt * pair.gamma > 0.5:
+        raise ConfigError("dt too coarse for the alternative model's feature")
 
 
 def y_ensemble(
@@ -267,25 +335,18 @@ def y_ensemble(
     if dt <= 0:
         raise ConfigError(f"dt must be > 0, got {dt}")
     n = int(round(duration / dt))
-    if n < 2:
-        raise ConfigError(f"duration {duration} at dt {dt} gives {n} samples; need >= 2")
-    if n_trials < 1:
-        raise ConfigError("n_trials must be >= 1")
-    if truth.kind != "flat" and dt * truth.fwhm_gamma > 0.5:
-        raise ConfigError("dt too coarse for the truth model's feature")
-    if pair.alt_model.amplitude > 0 and dt * pair.gamma > 0.5:
-        raise ConfigError("dt too coarse for the alternative model's feature")
+    _check_ensemble(truth, pair, n, dt, n_trials)
+    return _y_table(truth, pair.alt_model, [n], dt, n_trials, master_seed, spawn_prefix, jobs)[0]
 
-    args = (truth, pair.alt_model, n, dt, master_seed, spawn_prefix)
-    if jobs <= 1 or n_trials < 2 * _CHUNK:
-        return _y_batch(*args, 0, n_trials)
-    bounds = np.linspace(0, n_trials, jobs + 1).astype(int)
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futs = [
-            pool.submit(_y_batch, *args, int(bounds[j]), int(bounds[j + 1]))
-            for j in range(jobs)
-        ]
-        return np.concatenate([f.result() for f in futs])
+
+def _nested_tables(
+    pair: HypothesisPair, ns: list, dt: float, n_trials: int, master_seed: int, jobs: int
+):
+    """Y under the flat and the alt truth at every length in ns, one nested pass each."""
+    return tuple(
+        _y_table(t, pair.alt_model, ns, dt, n_trials, master_seed, (j,), jobs)
+        for j, t in enumerate((pair.null_model, pair.alt_model))
+    )
 
 
 def outcome_probs(
@@ -342,37 +403,17 @@ def threshold_search(y_flat: np.ndarray, y_alt: np.ndarray, confidence_p: float)
     aa = np.sort(np.abs(y_alt))
     cand = np.unique(np.concatenate([af, aa, [0.0]]))
 
-    wrong_flat = np.searchsorted(sf, -cand, side="left") / nf
-    indec_flat = np.searchsorted(af, cand, side="right") / nf
-    wrong_alt = (na - np.searchsorted(sa, cand, side="right")) / na
-    indec_alt = np.searchsorted(aa, cand, side="right") / na
-    worst = np.maximum.reduce([wrong_flat, indec_flat, wrong_alt, indec_alt])
+    # wrong and undecided under the flat truth, then under the alt; the
+    # running maximum keeps one rate array alive at a time
+    worst = np.searchsorted(sf, -cand, side="left") / nf
+    np.maximum(worst, np.searchsorted(af, cand, side="right") / nf, out=worst)
+    np.maximum(worst, (na - np.searchsorted(sa, cand, side="right")) / na, out=worst)
+    np.maximum(worst, np.searchsorted(aa, cand, side="right") / na, out=worst)
 
     best_worst = worst.min()
     # ties toward the larger threshold: scan the equal-minimum set from above
     j = int(np.nonzero(worst == best_worst)[0][-1])
     return bool(best_worst <= confidence_p), float(cand[j]), float(best_worst)
-
-
-def _feasibility_at(
-    pair: HypothesisPair,
-    n: int,
-    dt: float,
-    confidence_p: float,
-    n_trials: int,
-    master_seed: int,
-    jobs: int,
-):
-    duration = n * dt
-    yf = y_ensemble(
-        pair.null_model, pair, duration, dt, n_trials, master_seed,
-        spawn_prefix=(n, 0), jobs=jobs,
-    )
-    ya = y_ensemble(
-        pair.alt_model, pair, duration, dt, n_trials, master_seed,
-        spawn_prefix=(n, 1), jobs=jobs,
-    )
-    return threshold_search(yf, ya, confidence_p)
 
 
 def fit_prediction(kind: str, amplitude: float, gamma: float, p: float = 10.0) -> FitPrediction:
@@ -420,6 +461,14 @@ def fit_prediction(kind: str, amplitude: float, gamma: float, p: float = 10.0) -
     )
 
 
+def _bisection_tree(lo: int, hi: int) -> list:
+    """Every length the bisection between infeasible lo and feasible hi can probe."""
+    if hi - lo <= max(1, int(0.05 * hi)):
+        return []
+    mid = (lo + hi) // 2
+    return [mid] + _bisection_tree(lo, mid) + _bisection_tree(mid, hi)
+
+
 def tau_min(
     pair: HypothesisPair,
     confidence_p: float,
@@ -438,6 +487,14 @@ def tau_min(
     brackets geometrically, then bisects to 5% relative (or one sample).
     The reported tau_min is the single-record (one quadrature) duration;
     the halved field is the two-quadrature convention the figure fits use.
+
+    Probes read Y from a table of nested records: one pass per truth
+    draws every trial to the longest length it records and scores all of
+    them. The first pass runs to the fit estimate and records the halving
+    chain below it plus the bisection tree of the first octave. Each
+    doubling runs to the new upper end and records that bracket's tree
+    with it. A bracket found lower down costs one more pass over its tree.
+    Only the latest pass is held, 16 bytes per trial per recorded length.
     """
     if pair.alt_model.amplitude <= 0:
         raise DomainError("tau_min needs a nonzero alternative amplitude")
@@ -449,40 +506,55 @@ def tau_min(
     dt = dt_gamma / gamma
     fit = fit_prediction(pair.alt_model.kind, pair.alt_model.amplitude, gamma, p=100 * confidence_p)
 
-    def feasible(n: int):
-        return _feasibility_at(pair, n, dt, confidence_p, n_trials, master_seed, jobs)
+    probe = {}
+    table = {}  # length -> its row in the latest pass
+    tables = []  # that pass's (flat, alt) Y blocks
+
+    def feasible(n: int, record=()):
+        if n not in table:
+            ns = sorted({n, *record})
+            tables.clear()  # release the previous pass before drawing the next
+            tables.extend(_nested_tables(pair, ns, dt, n_trials, master_seed, jobs))
+            table.clear()
+            table.update((m, k) for k, m in enumerate(ns))
+        k = table[n]
+        probe[n] = threshold_search(tables[0][k], tables[1][k], confidence_p)
+        return probe[n]
+
+    def result(n: int) -> TauMinResult:
+        return TauMinResult(
+            tau_min=n * dt,
+            tau_min_halved=n * dt / 2.0,
+            y_th_used=probe[n][1],
+            confidence_p=confidence_p,
+            n_trials=n_trials,
+            fit_prediction=fit.seconds,
+            master_seed=master_seed,
+            n_samples=n,
+            probes=tuple((m, *v) for m, v in probe.items()),
+        )
 
     n0 = max(2, int(round(fit.seconds_unhalved / dt)))
     n0 = min(n0, max_samples)
-    probe = {}
+    chain = [n0]
+    while chain[-1] > 2:
+        chain.append(max(2, chain[-1] // 2))
 
-    ok, y_th, worst = feasible(n0)
-    probe[n0] = (ok, y_th, worst)
-    if ok:
+    # the first pass also records the bisection tree of the octave below
+    # n0, where the bracket lands whenever the fit is within a factor two
+    first_octave = _bisection_tree(chain[1], n0) if n0 > 2 else []
+    if feasible(n0, chain + first_octave)[0]:
         hi_feasible = n0
         lo_infeasible = None
-        lo = n0
-        while lo > 2:
-            lo = max(2, lo // 2)
-            ok2, y2, w2 = feasible(lo)
-            probe[lo] = (ok2, y2, w2)
-            if ok2:
+        for lo in chain[1:]:
+            if feasible(lo)[0]:
                 hi_feasible = lo
             else:
                 lo_infeasible = lo
                 break
         if lo_infeasible is None:
             # feasible all the way down to the two-sample floor
-            return TauMinResult(
-                tau_min=hi_feasible * dt,
-                tau_min_halved=hi_feasible * dt / 2.0,
-                y_th_used=probe[hi_feasible][1],
-                confidence_p=confidence_p,
-                n_trials=n_trials,
-                fit_prediction=fit.seconds,
-                master_seed=master_seed,
-                n_samples=hi_feasible,
-            )
+            return result(hi_feasible)
     else:
         lo_infeasible = n0
         hi = n0
@@ -498,33 +570,19 @@ def tau_min(
                         "probes": {k: v[2] for k, v in probe.items()},
                     },
                 )
-            ok, y_th, worst = feasible(hi)
-            probe[hi] = (ok, y_th, worst)
-            if ok:
+            if feasible(hi, _bisection_tree(lo_infeasible, hi))[0]:
                 break
             lo_infeasible = hi
         hi_feasible = hi
 
+    tree = _bisection_tree(lo_infeasible, hi_feasible)
     while hi_feasible - lo_infeasible > max(1, int(0.05 * hi_feasible)):
         mid = (hi_feasible + lo_infeasible) // 2
-        ok, y_th, worst = feasible(mid)
-        probe[mid] = (ok, y_th, worst)
-        if ok:
+        if feasible(mid, tree)[0]:
             hi_feasible = mid
         else:
             lo_infeasible = mid
-
-    y_th_used = probe[hi_feasible][1]
-    return TauMinResult(
-        tau_min=hi_feasible * dt,
-        tau_min_halved=hi_feasible * dt / 2.0,
-        y_th_used=y_th_used,
-        confidence_p=confidence_p,
-        n_trials=n_trials,
-        fit_prediction=fit.seconds,
-        master_seed=master_seed,
-        n_samples=hi_feasible,
-    )
+    return result(hi_feasible)
 
 
 def duration_sweep(
@@ -536,25 +594,28 @@ def duration_sweep(
     master_seed: int,
     jobs: int = 1,
 ) -> list:
-    """Threshold-search summary per duration, for tabulating search curves."""
+    """Threshold-search summary per duration, for tabulating search curves.
+
+    All durations come from one nested pass per truth, on the streams the
+    duration search uses, so a row equals the search's probe at that n.
+    """
+    counts = [int(n) for n in sample_counts]
+    if not counts:
+        return []
+    if dt <= 0:
+        raise ConfigError(f"dt must be > 0, got {dt}")
+    _check_ensemble(pair.alt_model, pair, min(counts), dt, n_trials)
+    ns = sorted(set(counts))
+    y_flat, y_alt = _nested_tables(pair, ns, dt, n_trials, master_seed, jobs)
     rows = []
-    for n in sample_counts:
-        n = int(n)
-        duration = n * dt
-        yf = y_ensemble(
-            pair.null_model, pair, duration, dt, n_trials, master_seed,
-            spawn_prefix=(n, 0), jobs=jobs,
-        )
-        ya = y_ensemble(
-            pair.alt_model, pair, duration, dt, n_trials, master_seed,
-            spawn_prefix=(n, 1), jobs=jobs,
-        )
+    for n in counts:
+        yf = y_flat[ns.index(n)]
+        ya = y_alt[ns.index(n)]
         ok, y_th, worst = threshold_search(yf, ya, confidence_p)
-        nf = yf.size
         rows.append(
             {
                 "n_samples": n,
-                "duration": duration,
+                "duration": n * dt,
                 "feasible": ok,
                 "y_th": y_th,
                 "worst": worst,

@@ -34,12 +34,16 @@ lives entirely at positive frequencies the complex baseband is proper
 the band), which is exactly why its real and imaginary parts come out as
 independent quadratures.
 
-Seed discipline, used verbatim by the decision Monte Carlo: trial i of a
-run with master seed s draws from
+Seed discipline, versioned as SEED_CONTRACT and used verbatim by the
+decision Monte Carlo: trial i of a run with master seed s draws from
 numpy.random.default_rng(numpy.random.SeedSequence(entropy=s, spawn_key=(i,))),
 and its record is the exact factor applied to the first n standard normals
 of that stream. gen_baseband with seed s is trial 0 of gen_ensemble with
-master seed s.
+master seed s. The duration search of the detect module keys trial i of
+truth t (0 flat, 1 featured) by spawn_key=(t, i) and uses nested records:
+its record of n samples is the first n samples of a longer one, so every
+duration sees the same noise. Contract 1 keyed the search by (n, t, i),
+fresh noise per duration; contract 2 is the current rule.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ import numpy as np
 from .errors import ConfigError, DomainError
 
 KINDS = ("flat", "peak", "dip")
+SEED_CONTRACT = 2  # version of the seed-derivation rule in the module docstring
 
 
 @dataclass(frozen=True)

@@ -226,6 +226,14 @@ class TestTauMin:
         assert r["n_trials"] == 300
         assert r["confidence_p"] == pytest.approx(0.25)
 
+    def test_report_and_config_round_trip(self, tmp_path):
+        assert main(["taumin", "--kind", "peak", "--amp", "100", "--p", "10",
+                     "--n", "500", "--seed", "4", "--outdir", str(tmp_path)]) == 0
+        emitted = tmp_path / "taumin_peak_seed4.json"
+        rerun = tmp_path / "rerun"
+        assert main(["taumin", "--config", str(emitted), "--outdir", str(rerun)]) == 0
+        assert emitted.read_bytes() == (rerun / "taumin_peak_seed4.json").read_bytes()
+
     def test_missing_amp(self, capsys):
         assert main(["taumin", "--kind", "dip"]) == 2
         assert "--amp" in capsys.readouterr().err

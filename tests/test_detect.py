@@ -8,6 +8,7 @@ import pytest
 from scipy.linalg import toeplitz
 
 from conftest import ORACLE_GRID
+from snopto import detect
 from snopto.errors import BoundedSearchError, ConfigError, DomainError
 from snopto.detect import (
     DecisionReport,
@@ -203,6 +204,18 @@ class TestEngine:
             x = _dense_record(truth, trial_rng(13, i).standard_normal(n), dt)
             assert ys[i] == pytest.approx(_dense_y(x, pair, dt), rel=1e-10)
 
+    @pytest.mark.parametrize("truth", [FLAT, DIP, PEAK])
+    def test_chunks_are_sized_by_samples(self, truth):
+        # 2048 trials of 8192 samples run as four chunks of 512 trials,
+        # 32 MB per (n, chunk) array; one 2048-trial chunk peaked at 568 MB
+        tracemalloc.start()
+        try:
+            y_ensemble(truth, PAIR_DIP, 8192 * 0.14, 0.14, 2048, master_seed=18)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 160 * 2**20
+
     @pytest.mark.parametrize("truth", [FLAT, DIP])
     def test_memory_stays_linear_in_record_length(self, truth):
         # a dense factor at n = 8192 alone would be 537 MB; the batch of
@@ -224,6 +237,29 @@ class TestEngine:
         two = y_ensemble(truth, PAIR_DIP, 64 * dt, dt, 4100, master_seed=19, jobs=2)
         assert np.array_equal(one, two)
         assert np.array_equal(one[:7], y_ensemble(truth, PAIR_DIP, 64 * dt, dt, 7, master_seed=19))
+
+    @pytest.mark.parametrize("truth", [FLAT, DIP])
+    def test_one_trial_chunk_matches_wide_chunk(self, truth):
+        # 4099 trials over two workers leave trial 2048 alone in its chunk;
+        # a column sum of an (n, 1) block used to round differently from
+        # the same column inside a wider block
+        dt = 0.14
+        one = y_ensemble(truth, PAIR_DIP, 300 * dt, dt, 4099, master_seed=3, jobs=1)
+        two = y_ensemble(truth, PAIR_DIP, 300 * dt, dt, 4099, master_seed=3, jobs=2)
+        assert np.array_equal(one, two)
+        assert np.array_equal(one[:1], y_ensemble(truth, PAIR_DIP, 300 * dt, dt, 1, master_seed=3))
+
+    @pytest.mark.parametrize("truth,pair", [(FLAT, PAIR_DIP), (DIP, PAIR_DIP), (PEAK, PAIR_DIP),
+                                            (DIP, PAIR_PEAK)])
+    def test_nested_prefixes_equal_short_records(self, truth, pair):
+        # one pass to 300 samples scores every prefix as its own record,
+        # bit for bit
+        dt, ns = 0.14, [2, 3, 50, 299, 300]
+        table = detect._y_table(truth, pair.alt_model, ns, dt, 37, 4, (1,), 1)
+        assert table.shape == (len(ns), 37)
+        for row, n in zip(table, ns):
+            short = y_ensemble(truth, pair, n * dt, dt, 37, master_seed=4, spawn_prefix=(1,))
+            assert np.array_equal(row, short)
 
     def test_sign_of_ensemble_means(self):
         dur, dt = 200.0, 0.14
@@ -411,7 +447,75 @@ class TestTauMin:
         pair = HypothesisPair(FLAT, BasebandModel("dip", amplitude=0.15, fwhm_gamma=1.0))
         with pytest.raises(BoundedSearchError) as exc:
             tau_min(pair, 0.01, n_trials=400, master_seed=53, max_samples=64)
-        assert "max_samples" in exc.value.diagnostics
+        diag = exc.value.diagnostics
+        assert diag["max_samples"] == 64
+        # every probe is infeasible, and the last one is the last doubling
+        assert diag["probes"] and all(w > 0.01 for w in diag["probes"].values())
+        assert max(diag["probes"]) == diag["last_infeasible"] <= 64
+
+    def test_probe_trace_kept_out_of_the_report(self):
+        pair = HypothesisPair(FLAT, BasebandModel("peak", amplitude=300.0, fwhm_gamma=1.0))
+        res = tau_min(pair, 0.10, n_trials=400, master_seed=0)
+        assert list(res.as_dict()) == [
+            "tau_min", "tau_min_halved", "y_th_used", "confidence_p", "n_trials",
+            "fit_prediction", "master_seed", "n_samples",
+        ]
+        ns = [n for n, *_ in res.probes]
+        assert len(ns) == len(set(ns)) >= 2
+        by_n = {n: (ok, y_th, worst) for n, ok, y_th, worst in res.probes}
+        assert by_n[res.n_samples][0] and by_n[res.n_samples][1] == res.y_th_used
+        # the shortest feasible probe is the answer, within 5% (or one
+        # sample) of the longest infeasible one below it
+        assert res.n_samples == min(n for n, (ok, _, _) in by_n.items() if ok)
+        lo = max(n for n, (ok, _, _) in by_n.items() if not ok and n < res.n_samples)
+        assert res.n_samples - lo <= max(1, int(0.05 * res.n_samples))
+        for ok, _, worst in by_n.values():
+            assert ok == (worst <= 0.10)
+
+    def test_jobs_do_not_change_the_search(self):
+        # 4100 trials split across two workers on every pass
+        pair = HypothesisPair(FLAT, BasebandModel("peak", amplitude=300.0, fwhm_gamma=1.0))
+        one = tau_min(pair, 0.10, n_trials=4100, master_seed=57, jobs=1)
+        two = tau_min(pair, 0.10, n_trials=4100, master_seed=57, jobs=2)
+        assert one == two
+
+    @staticmethod
+    def _count_seeds(monkeypatch):
+        made = []
+        real = np.random.SeedSequence
+
+        def counting(*args, **kwargs):
+            made.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", counting)
+        return made
+
+    def test_bracket_in_first_octave_draws_one_pass(self, monkeypatch):
+        # the pass to the fit estimate records the halving chain and the
+        # bisection tree of the octave below it
+        made = self._count_seeds(monkeypatch)
+        pair = HypothesisPair(FLAT, BasebandModel("peak", amplitude=300.0, fwhm_gamma=1.0))
+        res = tau_min(pair, 0.10, n_trials=400, master_seed=0)
+        oks = [ok for _, ok, _, _ in res.probes]
+        assert oks[:2] == [True, False] and len(oks) > 2  # bracket below n0, then bisection
+        assert len(made) == 2 * 400
+
+    def test_deeper_bracket_draws_a_second_pass(self, monkeypatch):
+        made = self._count_seeds(monkeypatch)
+        pair = HypothesisPair(FLAT, DIP)
+        res = tau_min(pair, 0.40, n_trials=400, master_seed=0)
+        oks = [ok for _, ok, _, _ in res.probes]
+        assert oks[:3] == [True, True, True] and False in oks  # bracket three octaves down
+        assert len(made) == 2 * 2 * 400
+
+    def test_doubling_pass_records_its_bisection_tree(self, monkeypatch):
+        made = self._count_seeds(monkeypatch)
+        pair = HypothesisPair(FLAT, BasebandModel("peak", amplitude=10.0, fwhm_gamma=1.0))
+        res = tau_min(pair, 0.10, n_trials=400, master_seed=0)
+        oks = [ok for _, ok, _, _ in res.probes]
+        assert oks[:2] == [False, True] and len(oks) > 2  # one doubling, then bisection
+        assert len(made) == 2 * 2 * 400
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -436,3 +540,18 @@ class TestDurationSweep:
             assert row["feasible"] == (row["worst"] <= 0.10)
         # more data cannot make the best achievable worst-rate larger
         assert rows[2]["worst"] <= rows[0]["worst"] + 0.02
+
+    def test_rows_equal_the_search_probes(self):
+        # the sweep and the search score the same nested records
+        pair = HypothesisPair(FLAT, BasebandModel("peak", amplitude=30.0, fwhm_gamma=1.0))
+        res = tau_min(pair, 0.10, n_trials=500, master_seed=61)
+        ns = [n for n, *_ in res.probes]
+        rows = duration_sweep(pair, ns, 0.14, 0.10, 500, master_seed=61)
+        for (n, ok, y_th, worst), row in zip(res.probes, rows):
+            assert (row["n_samples"], row["feasible"], row["y_th"], row["worst"]) == (n, ok, y_th, worst)
+
+    def test_guards(self):
+        with pytest.raises(ConfigError):
+            duration_sweep(PAIR_DIP, [1, 10], 0.14, 0.10, 100, master_seed=0)
+        with pytest.raises(ConfigError):
+            duration_sweep(PAIR_DIP, [10], 0.0, 0.10, 100, master_seed=0)
