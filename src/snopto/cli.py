@@ -7,7 +7,9 @@ Carlo decision machinery, and `feasibility` evaluates the planning laws.
 
 Every run resolves its settings in three layers: built-in defaults, then
 a config file (`--config`, one `key = value` per line, # comments), then
-explicit flags. Physical values accept unit suffixes ("10 mHz", "300 K",
+explicit flags. Each subcommand declares its options once, as the key ->
+default table in `_SPECS`; the parser is generated from it, and flag and
+config values go through the same conversion. Physical values accept unit suffixes ("10 mHz", "300 K",
 "432 mW", "184 amu", "0.0478 A2", "1.6 h"); frequencies given in hertz
 are converted to angular form, since every frequency in the package is
 angular. Emitted files embed the fully resolved config and master seed;
@@ -39,7 +41,7 @@ from .errors import BoundedSearchError, ConfigError, DomainError
 from .feasibility import ExperimentConfig, optimize_beta, post_report, pre_report
 from .gaussian_dynamics import GaussianState, evolve_moments
 from .materials import derive, get_material, table_rows
-from .response import gamma_squared
+from .response import frequency_grid, gamma_squared
 from .spectra import (
     SpectrumParams,
     beta_limit,
@@ -48,7 +50,7 @@ from .spectra import (
     post_feature,
     pre_feature,
 )
-from .synth import KINDS, BasebandModel, gen_baseband
+from .synth import BasebandModel, gen_baseband
 
 _TWO_PI = 2.0 * math.pi
 
@@ -112,13 +114,20 @@ def parse_quantity(text) -> float:
 
 
 def _to_int(value) -> int:
-    if isinstance(value, bool):
+    """An exact integer; float spellings such as "1e5" must be whole."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    try:
+        return int(str(value))
+    except ValueError:
+        pass
+    try:
+        f = float(value)
+    except (TypeError, ValueError):
+        f = math.nan
+    if isinstance(value, bool) or not math.isfinite(f) or not f.is_integer():
         raise ConfigError(f"expected an integer, got {value!r}")
-    f = float(value)
-    i = int(round(f))
-    if f != i:
-        raise ConfigError(f"expected an integer, got {value!r}")
-    return i
+    return int(f)
 
 
 def _to_bool(value) -> bool:
@@ -134,7 +143,7 @@ def _to_bool(value) -> bool:
 
 _STR_KEYS = {"material", "prescription", "kind", "truth"}
 _INT_KEYS = {"seed", "jobs", "n", "store_every", "npoints", "max_samples", "n_grid"}
-_BOOL_KEYS = {"all", "fit_only", "sweep"}
+_BOOL_KEYS = {"fit_only", "sweep"}
 
 
 def _convert(key: str, value):
@@ -227,9 +236,123 @@ def _emit_csv(path: Path, command: str, conf: dict, columns: dict) -> None:
     np.savetxt(path, data, fmt="%.17g", header="\n".join(lines))
 
 
+# ---------------------------------------------------------------- options
+
+# Each subcommand's options, key -> default, in the order CSV headers list
+# them. The parser is generated from these: every key becomes
+# --key-with-hyphens, a store_true switch for _BOOL_KEYS, and its value is
+# parsed by _convert whether it comes from a flag or a config file.
+_EXPERIMENT_SPEC = {
+    "material": "W",
+    "mass": 0.2,
+    "omega_cm": _TWO_PI * 0.010,
+    "q": 1e4,
+    "t0": 300.0,
+    "i_in": 0.0,
+    "transmissivity": 1e-2,
+    "omega_c": _TWO_PI * 0.2e12,
+}
+
+_SPECS = {
+    "spectrum": {
+        **_EXPERIMENT_SPEC,
+        "prescription": "pre",
+        "beta": None,
+        "wmin": None,
+        "wmax": None,
+        "npoints": 2001,
+        "seed": 0,
+    },
+    "dynamics": {
+        **_EXPERIMENT_SPEC,
+        "t_final": _REQUIRED,
+        "dt": None,
+        "store_every": 1,
+        "x0": 0.0,
+        "p0": 0.0,
+        "squeeze": 0.0,
+        "sn_weight": 0.5,
+        "seed": 0,
+    },
+    "synth": {
+        "kind": "peak",
+        "amp": None,
+        "gamma": 1.0,
+        "duration": _REQUIRED,
+        "dt": _REQUIRED,
+        "seed": 0,
+    },
+    "detect": {
+        "truth": _REQUIRED,
+        "kind": "dip",
+        "amp": _REQUIRED,
+        "gamma": 1.0,
+        "duration": _REQUIRED,
+        "dt": _REQUIRED,
+        "yth": _REQUIRED,
+        "n": 10000,
+        "seed": 0,
+        "jobs": 1,
+    },
+    "taumin": {
+        "kind": "dip",
+        "amp": _REQUIRED,
+        "gamma": 1.0,
+        "p": 10.0,
+        "dt_gamma": 0.14,
+        "n": 10000,
+        "max_samples": 8192,
+        "fit_only": False,
+        "seed": 0,
+        "jobs": 1,
+    },
+    "feasibility": {
+        **_EXPERIMENT_SPEC,
+        "prescription": _REQUIRED,
+        "beta": None,
+        "sweep": False,
+        "p": 10.0,
+        "n_grid": 481,
+        "seed": 0,
+    },
+}
+
+# every resolvable key, for tolerating emitted configs across commands
+_ALL_KEYS = {"command", "version"}.union(*_SPECS.values())
+
+_HELP = {
+    "config": "key = value file, or an emitted JSON report",
+    "outdir": "output directory (default $SNOPTO_OUTDIR or .)",
+    "seed": "master seed stamped into outputs",
+    "jobs": "Monte Carlo worker count",
+    "material": "builtin material name (e.g. W, Os)",
+    "mass": "total mass, e.g. '200 g'",
+    "omega_cm": "trap frequency, e.g. '10 mHz' (hertz become angular)",
+    "q": "mechanical quality factor",
+    "t0": "bath temperature, e.g. '300 K'",
+    "i_in": "input power, e.g. '432 mW'",
+    "omega_c": "carrier, e.g. '0.2 THz'",
+    "prescription": "qm, pre or post (feasibility: pre or post)",
+    "beta": "measurement strength (overrides --i-in)",
+    "wmin": "lower end of a log grid, with --wmax",
+    "npoints": "grid points between --wmin and --wmax",
+    "kind": "flat, peak or dip (detect, taumin: peak or dip)",
+    "truth": "flat, or the alternative kind",
+    "n": "trial count (taumin: per probed duration)",
+    "p": "confidence target in percent",
+    "fit_only": "emit the printed-fit estimate without Monte Carlo",
+    "sweep": "also emit the strength sweep curve",
+}
+
+
+def _experiment(conf) -> ExperimentConfig:
+    return ExperimentConfig.build(**{key: conf[key] for key in _EXPERIMENT_SPEC})
+
+
 # ---------------------------------------------------------------- material
 
 def cmd_material(args) -> int:
+    """builtin material table"""
     if args.all:
         names = [row["element"] for row in table_rows()]
     elif args.name:
@@ -262,41 +385,9 @@ def cmd_material(args) -> int:
 
 # ---------------------------------------------------------------- spectrum
 
-_EXPERIMENT_SPEC = {
-    "material": "W",
-    "mass": 0.2,
-    "omega_cm": _TWO_PI * 0.010,
-    "q": 1e4,
-    "t0": 300.0,
-    "i_in": 0.0,
-    "transmissivity": 1e-2,
-    "omega_c": _TWO_PI * 0.2e12,
-}
-
-
-def _experiment(conf) -> ExperimentConfig:
-    return ExperimentConfig.build(
-        material=conf["material"],
-        mass=conf["mass"],
-        omega_cm=conf["omega_cm"],
-        q=conf["q"],
-        t0=conf["t0"],
-        i_in=conf["i_in"],
-        transmissivity=conf["transmissivity"],
-        omega_c=conf["omega_c"],
-    )
-
-
 def cmd_spectrum(args) -> int:
-    conf = resolve(args, {
-        **_EXPERIMENT_SPEC,
-        "prescription": "pre",
-        "beta": None,
-        "wmin": None,
-        "wmax": None,
-        "npoints": 2001,
-        "seed": 0,
-    })
+    """output spectrum curve plus feature block"""
+    conf = resolve(args, _SPECS["spectrum"])
     exp = _experiment(conf)
     if conf["beta"] is not None:
         params = SpectrumParams.from_beta(exp.osc, conf["beta"])
@@ -307,8 +398,10 @@ def cmd_spectrum(args) -> int:
         params = SpectrumParams.from_beta(exp.osc, rec)
     conf["beta"] = params.beta
     prescription = conf["prescription"]
-    if conf["wmin"] is not None and conf["wmax"] is not None:
-        grid = np.geomspace(conf["wmin"], conf["wmax"], conf["npoints"])
+    if (conf["wmin"] is None) != (conf["wmax"] is None):
+        raise ConfigError("give both --wmin and --wmax, or neither")
+    if conf["wmin"] is not None:
+        grid = frequency_grid(conf["wmin"], conf["wmax"], conf["npoints"], "log")
     else:
         grid = default_grid(params, prescription if prescription == "post" else "pre")
     spectrum = evaluate(prescription, grid, params)
@@ -338,17 +431,8 @@ def cmd_spectrum(args) -> int:
 # ---------------------------------------------------------------- dynamics
 
 def cmd_dynamics(args) -> int:
-    conf = resolve(args, {
-        **_EXPERIMENT_SPEC,
-        "t_final": _REQUIRED,
-        "dt": None,
-        "store_every": 1,
-        "x0": 0.0,
-        "p0": 0.0,
-        "squeeze": 0.0,
-        "sn_weight": 0.5,
-        "seed": 0,
-    })
+    """moment trajectory CSV"""
+    conf = resolve(args, _SPECS["dynamics"])
     exp = _experiment(conf)
     state = GaussianState.ground(exp.osc).squeezed(conf["squeeze"]).displaced(conf["x0"], conf["p0"])
     traj = evolve_moments(
@@ -376,22 +460,16 @@ def cmd_dynamics(args) -> int:
 
 def _alt_model(conf) -> BasebandModel:
     kind = conf["kind"]
-    if kind == "flat":
-        return BasebandModel("flat")
+    if kind not in ("peak", "dip"):
+        return BasebandModel(kind)  # flat, or the model's own kind error
     if conf.get("amp") is None:
         raise ConfigError(f"--amp is required for kind {kind!r}")
     return BasebandModel(kind, amplitude=conf["amp"], fwhm_gamma=conf["gamma"])
 
 
 def cmd_synth(args) -> int:
-    conf = resolve(args, {
-        "kind": "peak",
-        "amp": None,
-        "gamma": 1.0,
-        "duration": _REQUIRED,
-        "dt": _REQUIRED,
-        "seed": 0,
-    })
+    """draw one stationary record"""
+    conf = resolve(args, _SPECS["synth"])
     model = _alt_model(conf)
     series = gen_baseband(model, conf["duration"], conf["dt"], conf["seed"])
     out = _outdir(args)
@@ -405,18 +483,8 @@ def cmd_synth(args) -> int:
 # ---------------------------------------------------------------- detect
 
 def cmd_detect(args) -> int:
-    conf = resolve(args, {
-        "truth": _REQUIRED,
-        "kind": "dip",
-        "amp": _REQUIRED,
-        "gamma": 1.0,
-        "duration": _REQUIRED,
-        "dt": _REQUIRED,
-        "yth": _REQUIRED,
-        "n": 10000,
-        "seed": 0,
-        "jobs": 1,
-    })
+    """Monte Carlo verdict rates at a threshold"""
+    conf = resolve(args, _SPECS["detect"])
     if conf["truth"] not in ("flat", conf["kind"]):
         raise ConfigError(f"truth must be flat or {conf['kind']!r}, got {conf['truth']!r}")
     alt = _alt_model(conf)
@@ -436,18 +504,8 @@ def cmd_detect(args) -> int:
 # ---------------------------------------------------------------- taumin
 
 def cmd_taumin(args) -> int:
-    conf = resolve(args, {
-        "kind": "dip",
-        "amp": _REQUIRED,
-        "gamma": 1.0,
-        "p": 10.0,
-        "dt_gamma": 0.14,
-        "n": 10000,
-        "max_samples": 8192,
-        "fit_only": False,
-        "seed": 0,
-        "jobs": 1,
-    })
+    """minimum record length search"""
+    conf = resolve(args, _SPECS["taumin"])
     fit = fit_prediction(conf["kind"], conf["amp"], conf["gamma"], p=conf["p"])
     fit_block = {
         "seconds": fit.seconds,
@@ -475,23 +533,16 @@ def cmd_taumin(args) -> int:
 # ------------------------------------------------------------- feasibility
 
 def cmd_feasibility(args) -> int:
+    """planning report from the anchored laws"""
     prescription = getattr(args, "prescription", None)
     if prescription is None and getattr(args, "config", None):
         prescription = load_config(args.config).get("prescription")
     if prescription not in ("pre", "post"):
         raise ConfigError(f"prescription must be pre or post, got {prescription!r}")
-    defaults = dict(_EXPERIMENT_SPEC)
+    spec = dict(_SPECS["feasibility"], prescription=prescription)
     if prescription == "post":
-        defaults.update(material="Os", omega_cm=_TWO_PI * 0.004, q=1e7, t0=1.0)
-    conf = resolve(args, {
-        **defaults,
-        "prescription": prescription,
-        "beta": None,
-        "sweep": False,
-        "p": 10.0,
-        "n_grid": 481,
-        "seed": 0,
-    })
+        spec.update(material="Os", omega_cm=_TWO_PI * 0.004, q=1e7, t0=1.0)
+    conf = resolve(args, spec)
     exp = _experiment(conf)
     report = (pre_report if prescription == "pre" else post_report)(exp, beta=conf["beta"])
     conf["beta"] = report.beta_used
@@ -515,25 +566,6 @@ def cmd_feasibility(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
-def _add_common(sub):
-    sub.add_argument("--config", help="key = value file, or an emitted JSON report")
-    sub.add_argument("--outdir", help="output directory (default $SNOPTO_OUTDIR or .)")
-    sub.add_argument("--seed", type=int, help="master seed stamped into outputs")
-    sub.add_argument("--jobs", type=int, help="Monte Carlo worker count")
-
-
-def _add_experiment(sub):
-    sub.add_argument("--material", help="builtin material name (e.g. W, Os)")
-    sub.add_argument("--mass", type=parse_quantity, help="total mass, e.g. '200 g'")
-    sub.add_argument("--omega-cm", dest="omega_cm", type=parse_quantity,
-                     help="trap frequency, e.g. '10 mHz' (hertz become angular)")
-    sub.add_argument("--q", type=parse_quantity, help="mechanical quality factor")
-    sub.add_argument("--t0", type=parse_quantity, help="bath temperature, e.g. '300 K'")
-    sub.add_argument("--i-in", dest="i_in", type=parse_quantity, help="input power, e.g. '432 mW'")
-    sub.add_argument("--transmissivity", type=parse_quantity)
-    sub.add_argument("--omega-c", dest="omega_c", type=parse_quantity, help="carrier, e.g. '0.2 THz'")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="snopto",
@@ -542,87 +574,27 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"snopto {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("material", help="builtin material table")
+    p = subs.add_parser("material", help=cmd_material.__doc__)
     p.add_argument("name", nargs="?", help="element symbol, e.g. W")
     p.add_argument("--all", action="store_true", help="print every builtin row")
     p.set_defaults(func=cmd_material)
 
-    p = subs.add_parser("spectrum", help="output spectrum curve plus feature block")
-    _add_common(p)
-    _add_experiment(p)
-    p.add_argument("--prescription", choices=("qm", "pre", "post"))
-    p.add_argument("--beta", type=parse_quantity, help="measurement strength (overrides --i-in)")
-    p.add_argument("--wmin", type=parse_quantity)
-    p.add_argument("--wmax", type=parse_quantity)
-    p.add_argument("--npoints", type=int)
-    p.set_defaults(func=cmd_spectrum)
-
-    p = subs.add_parser("dynamics", help="moment trajectory CSV")
-    _add_common(p)
-    _add_experiment(p)
-    p.add_argument("--t-final", dest="t_final", type=parse_quantity)
-    p.add_argument("--dt", type=parse_quantity)
-    p.add_argument("--store-every", dest="store_every", type=int)
-    p.add_argument("--x0", type=parse_quantity)
-    p.add_argument("--p0", type=parse_quantity)
-    p.add_argument("--squeeze", type=parse_quantity)
-    p.add_argument("--sn-weight", dest="sn_weight", type=parse_quantity)
-    p.set_defaults(func=cmd_dynamics)
-
-    p = subs.add_parser("synth", help="draw one stationary record")
-    _add_common(p)
-    p.add_argument("--kind", choices=tuple(KINDS))
-    p.add_argument("--amp", type=parse_quantity)
-    p.add_argument("--gamma", type=parse_quantity)
-    p.add_argument("--duration", type=parse_quantity)
-    p.add_argument("--dt", type=parse_quantity)
-    p.set_defaults(func=cmd_synth)
-
-    p = subs.add_parser("detect", help="Monte Carlo verdict rates at a threshold")
-    _add_common(p)
-    p.add_argument("--truth", help="flat, or the alternative kind")
-    p.add_argument("--kind", choices=("peak", "dip"))
-    p.add_argument("--amp", type=parse_quantity)
-    p.add_argument("--gamma", type=parse_quantity)
-    p.add_argument("--duration", type=parse_quantity)
-    p.add_argument("--dt", type=parse_quantity)
-    p.add_argument("--yth", type=parse_quantity)
-    p.add_argument("--n", type=int, help="trial count")
-    p.set_defaults(func=cmd_detect)
-
-    p = subs.add_parser("taumin", help="minimum record length search")
-    _add_common(p)
-    p.add_argument("--kind", choices=("peak", "dip"))
-    p.add_argument("--amp", type=parse_quantity)
-    p.add_argument("--gamma", type=parse_quantity)
-    p.add_argument("--p", type=parse_quantity, help="confidence target in percent")
-    p.add_argument("--dt-gamma", dest="dt_gamma", type=parse_quantity)
-    p.add_argument("--n", type=int, help="trials per probed duration")
-    p.add_argument("--max-samples", dest="max_samples", type=int)
-    p.add_argument("--fit-only", dest="fit_only", action="store_true",
-                   help="emit the printed-fit estimate without Monte Carlo")
-    p.set_defaults(func=cmd_taumin)
-
-    p = subs.add_parser("feasibility", help="planning report from the anchored laws")
-    _add_common(p)
-    _add_experiment(p)
-    p.add_argument("--prescription", choices=("pre", "post"))
-    p.add_argument("--beta", type=parse_quantity)
-    p.add_argument("--sweep", action="store_true", help="also emit the strength sweep curve")
-    p.add_argument("--p", type=parse_quantity)
-    p.add_argument("--n-grid", dest="n_grid", type=int)
-    p.set_defaults(func=cmd_feasibility)
-
+    # looked up per build, so a rebound cmd_* name is the one that runs
+    commands = {
+        "spectrum": cmd_spectrum,
+        "dynamics": cmd_dynamics,
+        "synth": cmd_synth,
+        "detect": cmd_detect,
+        "taumin": cmd_taumin,
+        "feasibility": cmd_feasibility,
+    }
+    for name, func in commands.items():
+        p = subs.add_parser(name, help=func.__doc__)
+        for key in ("config", "outdir", *_SPECS[name]):
+            p.add_argument("--" + key.replace("_", "-"), dest=key, help=_HELP.get(key),
+                           action="store_true" if key in _BOOL_KEYS else "store")
+        p.set_defaults(func=func)
     return parser
-
-
-# union of every resolvable key, for tolerating emitted configs across commands
-_ALL_KEYS = (
-    set(_EXPERIMENT_SPEC)
-    | _STR_KEYS | _INT_KEYS | _BOOL_KEYS
-    | {"beta", "wmin", "wmax", "t_final", "dt", "x0", "p0", "squeeze", "sn_weight",
-       "amp", "gamma", "duration", "yth", "p", "dt_gamma", "n", "command", "version"}
-)
 
 
 def main(argv=None) -> int:

@@ -502,6 +502,8 @@ def tau_min(
         raise ConfigError(f"confidence_p must be in (0, 1), got {confidence_p}")
     if dt_gamma <= 0 or dt_gamma > 0.5:
         raise ConfigError(f"dt_gamma must be in (0, 0.5], got {dt_gamma}")
+    if n_trials < 1:
+        raise ConfigError("n_trials must be >= 1")
     gamma = pair.gamma
     dt = dt_gamma / gamma
     fit = fit_prediction(pair.alt_model.kind, pair.alt_model.amplitude, gamma, p=100 * confidence_p)

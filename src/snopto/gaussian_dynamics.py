@@ -100,10 +100,15 @@ def energy(state: GaussianState, osc: OscillatorConfig, sn_weight: float = 0.5) 
     M omega_sn^2 var_xx. Pass 1.0 to reproduce the non-conserved naive form
     used as a negative control in the tests.
     """
+    return _energy(state.mean_x, state.mean_p, state.var_xx, state.var_pp, osc, sn_weight)
+
+
+def _energy(mean_x, mean_p, var_xx, var_pp, osc: OscillatorConfig, sn_weight: float):
+    """`energy` from the bare moments, scalars or arrays alike."""
     m = osc.mass
-    p2 = state.var_pp + state.mean_p**2
-    x2 = state.var_xx + state.mean_x**2
-    return p2 / (2 * m) + 0.5 * m * osc.omega_cm**2 * x2 + sn_weight * m * osc.omega_sn**2 * state.var_xx
+    p2 = var_pp + mean_p**2
+    x2 = var_xx + mean_x**2
+    return p2 / (2 * m) + 0.5 * m * osc.omega_cm**2 * x2 + sn_weight * m * osc.omega_sn**2 * var_xx
 
 
 def _drift_matrix(osc: OscillatorConfig) -> np.ndarray:
@@ -181,12 +186,6 @@ def evolve_moments(
         out[i] = z
 
     times = np.arange(n_rec) * (dt * store_every)
-    m = osc.mass
-    en = (
-        (out[:, 4] + out[:, 1] ** 2) / (2 * m)
-        + 0.5 * m * osc.omega_cm**2 * (out[:, 2] + out[:, 0] ** 2)
-        + sn_weight * m * osc.omega_sn**2 * out[:, 2]
-    )
     return MomentTrajectory(
         times=times,
         mean_x=out[:, 0],
@@ -194,7 +193,7 @@ def evolve_moments(
         var_xx=out[:, 2],
         cov_xp=out[:, 3],
         var_pp=out[:, 4],
-        energy=en,
+        energy=_energy(out[:, 0], out[:, 1], out[:, 2], out[:, 4], osc, sn_weight),
     )
 
 

@@ -86,14 +86,6 @@ class OpticalConfig:
             raise DomainError(f"omega_c must be > 0, got {self.omega_c}")
 
 
-@dataclass(frozen=True)
-class DerivedParams:
-    alpha_sq: float
-    omega_q: float
-    beta: float
-    gamma_sq: float
-
-
 def alpha_squared(opt: OpticalConfig) -> float:
     """Measurement coupling alpha^2 = (8 i_in / T) (hbar omega_c / c^2) (1 / T)."""
     return (8.0 * opt.i_in / opt.transmissivity) * (HBAR * opt.omega_c / C_LIGHT**2) / opt.transmissivity
@@ -192,16 +184,6 @@ def gamma_squared_approx(osc: OscillatorConfig) -> float:
     if osc.omega_sn <= 0:
         raise DomainError("the high-Q form requires omega_sn > 0")
     return 2.0 * K_B * osc.t0 * osc.gamma_m**2 / (HBAR * osc.omega_sn**3)
-
-
-def derived_params(osc: OscillatorConfig, opt: OpticalConfig) -> DerivedParams:
-    a2 = alpha_squared(opt)
-    return DerivedParams(
-        alpha_sq=a2,
-        omega_q=osc.omega_q,
-        beta=beta(a2, osc),
-        gamma_sq=gamma_squared(osc),
-    )
 
 
 def frequency_grid(start: float, stop: float, count: int, spacing: str = "log") -> np.ndarray:

@@ -1,12 +1,13 @@
 """End-to-end runs of the command line, in process, against temp dirs."""
 
+import argparse
 import json
 import math
 
 import numpy as np
 import pytest
 
-from snopto.cli import load_config, main, parse_quantity
+from snopto.cli import _ALL_KEYS, _SPECS, build_parser, load_config, main, parse_quantity
 from snopto.errors import ConfigError
 from snopto.feasibility import ExperimentConfig, pre_report
 from snopto.materials import get_material, omega_sn
@@ -131,6 +132,35 @@ class TestSpectrum:
         assert payload["config"]["beta"] == pytest.approx(1e4, rel=1e-12)
 
 
+    def test_config_round_trip(self, tmp_path):
+        assert main(["spectrum", "--prescription", "post", "--seed", "5",
+                     "--outdir", str(tmp_path)]) == 0
+        rerun = tmp_path / "rerun"
+        assert main(["spectrum", "--config", str(tmp_path / "spectrum_post_seed5.json"),
+                     "--outdir", str(rerun)]) == 0
+        for name in ("spectrum_post_seed5.json", "spectrum_post_seed5.csv"):
+            assert (tmp_path / name).read_bytes() == (rerun / name).read_bytes()
+
+    def test_explicit_grid(self, tmp_path):
+        assert main(["spectrum", "--wmin", "0.1", "--wmax", "10", "--npoints", "5",
+                     "--outdir", str(tmp_path)]) == 0
+        data = np.loadtxt(tmp_path / "spectrum_pre_seed0.csv")
+        np.testing.assert_array_equal(data[:, 0], np.geomspace(0.1, 10.0, 5))
+
+    @pytest.mark.parametrize("flags", [
+        ["--wmin", "0", "--wmax", "1"],
+        ["--wmin", "2", "--wmax", "1"],
+        ["--wmin", "1", "--wmax", "2", "--npoints", "1"],
+        ["--wmin", "1"],
+        ["--wmax", "1"],
+    ])
+    def test_bad_grid_rejected(self, tmp_path, capsys, flags):
+        assert main(["spectrum", *flags, "--outdir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
+
+
 class TestDynamics:
     def test_trajectory_csv(self, tmp_path):
         assert main(["dynamics", "--t-final", "100", "--dt", "0.0034",
@@ -238,6 +268,11 @@ class TestTauMin:
         assert main(["taumin", "--kind", "dip"]) == 2
         assert "--amp" in capsys.readouterr().err
 
+    def test_zero_trials_rejected(self, tmp_path, capsys):
+        assert main(["taumin", "--kind", "peak", "--amp", "30", "--n", "0",
+                     "--outdir", str(tmp_path)]) == 2
+        assert "n_trials must be >= 1" in capsys.readouterr().err
+
 
 class TestFeasibility:
     def test_pre_matches_library(self, tmp_path):
@@ -269,6 +304,80 @@ class TestFeasibility:
         payload = json.loads((tmp_path / "feasibility_pre_seed0.json").read_text())
         assert payload["config"]["omega_cm"] == pytest.approx(TWO_PI * 0.010, rel=1e-12)
         assert payload["config"]["mass"] == 0.2
+
+
+    def test_config_round_trip(self, tmp_path):
+        assert main(["feasibility", "--prescription", "post", "--sweep", "--n-grid", "121",
+                     "--seed", "2", "--outdir", str(tmp_path)]) == 0
+        rerun = tmp_path / "rerun"
+        assert main(["feasibility", "--config", str(tmp_path / "feasibility_post_seed2.json"),
+                     "--outdir", str(rerun)]) == 0
+        for name in ("feasibility_post_seed2.json", "feasibility_post_seed2_sweep.csv"):
+            assert (tmp_path / name).read_bytes() == (rerun / name).read_bytes()
+
+
+_DETECT_ARGS = ["detect", "--truth", "dip", "--amp", "0.62", "--duration", "14",
+                "--dt", "0.14", "--yth", "1"]
+
+
+class TestIntegerValues:
+    @pytest.mark.parametrize("line", ["n = abc", "seed = inf", "n = 1.5", "seed = nan"])
+    def test_bad_config_value(self, tmp_path, capsys, line):
+        conf = tmp_path / "run.conf"
+        conf.write_text(line + "\n")
+        assert main([*_DETECT_ARGS, "--config", str(conf), "--outdir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: expected an integer")
+
+    @pytest.mark.parametrize("flags", [["--n", "abc"], ["--n", "1.5"], ["--seed", "inf"]])
+    def test_bad_flag_value(self, tmp_path, capsys, flags):
+        assert main([*_DETECT_ARGS, *flags, "--outdir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: expected an integer")
+
+    def test_whole_float_spelling_accepted(self, tmp_path):
+        assert main([*_DETECT_ARGS, "--n", "3e2", "--seed", "12345678901234567891",
+                     "--outdir", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "detect_dip_seed12345678901234567891.json").read_text())
+        assert payload["config"]["n"] == 300 and payload["result"]["n_trials"] == 300
+        assert payload["master_seed"] == 12345678901234567891
+
+
+def _subparsers() -> dict:
+    parser = build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+class TestGeneratedParser:
+    def test_flags_are_the_spec_keys(self):
+        subs = _subparsers()
+        assert set(subs) == {"material", *_SPECS}
+        for name, spec in _SPECS.items():
+            flags = {o for o in subs[name]._option_string_actions if o.startswith("--")}
+            expected = {"--config", "--outdir"} | {"--" + k.replace("_", "-") for k in spec}
+            assert flags - {"--help"} == expected, name
+
+    def test_spec_keys_are_known(self):
+        for spec in _SPECS.values():
+            assert set(spec) <= _ALL_KEYS
+
+    def test_jobs_only_on_monte_carlo_commands(self):
+        assert {name for name, spec in _SPECS.items() if "jobs" in spec} == {"detect", "taumin"}
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "--jobs", "2"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv,message", [
+        (["synth", "--kind", "foo", "--duration", "1", "--dt", "0.1"], "kind must be one of"),
+        (["detect", "--kind", "flat", "--truth", "flat", "--amp", "1", "--duration", "10",
+          "--dt", "0.1", "--yth", "1"], "alt_model must be a peak or a dip"),
+        (["taumin", "--kind", "flat", "--amp", "1", "--fit-only"], "kind must be peak or dip"),
+        (["spectrum", "--prescription", "foo"], "prescription must be one of"),
+        (["feasibility", "--prescription", "qm"], "prescription must be pre or post"),
+    ])
+    def test_invalid_choice_is_a_config_error(self, tmp_path, capsys, argv, message):
+        assert main([*argv, "--outdir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not list(tmp_path.iterdir())
 
 
 class TestHarness:

@@ -453,6 +453,11 @@ class TestTauMin:
         assert diag["probes"] and all(w > 0.01 for w in diag["probes"].values())
         assert max(diag["probes"]) == diag["last_infeasible"] <= 64
 
+    @pytest.mark.parametrize("n_trials", [0, -1])
+    def test_needs_a_trial(self, n_trials):
+        with pytest.raises(ConfigError, match="n_trials"):
+            tau_min(PAIR_PEAK, 0.10, n_trials=n_trials, master_seed=0)
+
     def test_probe_trace_kept_out_of_the_report(self):
         pair = HypothesisPair(FLAT, BasebandModel("peak", amplitude=300.0, fwhm_gamma=1.0))
         res = tau_min(pair, 0.10, n_trials=400, master_seed=0)

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from snopto.constants import HBAR, K_B
 from snopto.errors import ConfigError, DomainError
 from snopto import response as rsp
+from snopto.spectra import SpectrumParams
 
 from conftest import osmium_osc, reference_optics, tungsten_osc
 
@@ -243,7 +244,7 @@ class TestDimensionlessParams:
         assert ratio == pytest.approx(0.98503, abs=2e-4)
 
     def test_derived_params_bundle(self, w_osc):
-        d = rsp.derived_params(w_osc, reference_optics())
+        d = SpectrumParams.from_optics(w_osc, reference_optics())
         assert d.omega_q == pytest.approx(w_osc.omega_q)
         assert d.beta == pytest.approx(rsp.beta(d.alpha_sq, w_osc))
         assert d.gamma_sq == pytest.approx(rsp.gamma_squared(w_osc))
