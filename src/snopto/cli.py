@@ -228,12 +228,22 @@ def _emit_json(path: Path, command: str, conf: dict, result) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+_CSV_BLOCK_ROWS = 4096  # rows formatted per write; bounds the text held at once
+
+
 def _emit_csv(path: Path, command: str, conf: dict, columns: dict) -> None:
     lines = [f"command = {command}", f"version = {__version__}"]
     lines += [f"{k} = {v!r}" if isinstance(v, float) else f"{k} = {v}" for k, v in conf.items()]
     lines.append(", ".join(columns))
     data = np.column_stack([np.asarray(c, dtype=float) for c in columns.values()])
-    np.savetxt(path, data, fmt="%.17g", header="\n".join(lines))
+    # the bytes np.savetxt(path, data, fmt="%.17g", header=...) writes, with
+    # one string format per block of rows instead of one per row
+    row_fmt = " ".join(["%.17g"] * data.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write("# " + "\n# ".join(lines) + "\n")
+        for start in range(0, len(data), _CSV_BLOCK_ROWS):
+            block = data[start:start + _CSV_BLOCK_ROWS]
+            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
 # ---------------------------------------------------------------- options
@@ -394,9 +404,10 @@ def cmd_spectrum(args) -> int:
     elif conf["i_in"] > 0:
         params = SpectrumParams.from_optics(exp.osc, exp.optics)
     else:
-        rec = beta_limit(SpectrumParams(exp.osc, 0.0), exp.material).recommended
-        params = SpectrumParams.from_beta(exp.osc, rec)
-    conf["beta"] = params.beta
+        # recorded so that a --config rerun takes the same from_beta path;
+        # a beta recomputed from alpha_sq may differ in the last digit
+        conf["beta"] = beta_limit(SpectrumParams(exp.osc, 0.0), exp.material).recommended
+        params = SpectrumParams.from_beta(exp.osc, conf["beta"])
     prescription = conf["prescription"]
     if (conf["wmin"] is None) != (conf["wmax"] is None):
         raise ConfigError("give both --wmin and --wmax, or neither")

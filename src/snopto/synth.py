@@ -376,18 +376,8 @@ def quadratures(xi: ComplexBaseband) -> tuple[BasebandSeries, BasebandSeries]:
     )
 
 
-def write_series(series: BasebandSeries, path) -> None:
-    """Plain-text dump, one sample per line, self-describing header."""
-    header = (
-        f"dt = {series.dt!r}\n"
-        f"n = {series.n}\n"
-        f"seed = {series.seed}\n"
-        f"model = {series.model_tag}"
-    )
-    np.savetxt(path, series.samples, fmt="%.17g", header=header)
-
-
 def read_series(path) -> BasebandSeries:
+    """Read back the CSV `snopto synth` writes: `# key = value` header, one sample per row."""
     meta = {}
     with open(path) as fh:
         for line in fh:

@@ -7,11 +7,12 @@ import math
 import numpy as np
 import pytest
 
-from snopto.cli import _ALL_KEYS, _SPECS, build_parser, load_config, main, parse_quantity
+from snopto import __version__
+from snopto.cli import _ALL_KEYS, _SPECS, _emit_csv, build_parser, load_config, main, parse_quantity
 from snopto.errors import ConfigError
 from snopto.feasibility import ExperimentConfig, pre_report
 from snopto.materials import get_material, omega_sn
-from snopto.synth import read_series
+from snopto.synth import BasebandModel, gen_baseband, read_series
 
 TWO_PI = 2.0 * math.pi
 
@@ -133,13 +134,19 @@ class TestSpectrum:
 
 
     def test_config_round_trip(self, tmp_path):
-        assert main(["spectrum", "--prescription", "post", "--seed", "5",
-                     "--outdir", str(tmp_path)]) == 0
-        rerun = tmp_path / "rerun"
-        assert main(["spectrum", "--config", str(tmp_path / "spectrum_post_seed5.json"),
-                     "--outdir", str(rerun)]) == 0
-        for name in ("spectrum_post_seed5.json", "spectrum_post_seed5.csv"):
-            assert (tmp_path / name).read_bytes() == (rerun / name).read_bytes()
+        # beta from beta_limit, beta from the optics (--i-in), and a material
+        # whose beta recomputed from alpha_sq differs from beta_limit's
+        for argv, stem in [
+            (["--prescription", "post", "--seed", "5"], "spectrum_post_seed5"),
+            (["--i-in", "432 mW", "--omega-c", "0.2 THz", "--seed", "2"], "spectrum_pre_seed2"),
+            (["--material", "Os", "--seed", "1"], "spectrum_pre_seed1"),
+        ]:
+            first, rerun = tmp_path / stem, tmp_path / stem / "rerun"
+            assert main(["spectrum", *argv, "--outdir", str(first)]) == 0
+            assert main(["spectrum", "--config", str(first / f"{stem}.json"),
+                         "--outdir", str(rerun)]) == 0
+            for name in (f"{stem}.json", f"{stem}.csv"):
+                assert (first / name).read_bytes() == (rerun / name).read_bytes(), name
 
     def test_explicit_grid(self, tmp_path):
         assert main(["spectrum", "--wmin", "0.1", "--wmax", "10", "--npoints", "5",
@@ -159,6 +166,28 @@ class TestSpectrum:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not list(tmp_path.iterdir())
+
+
+class TestEmitCsv:
+    """`_emit_csv` writes the bytes of np.savetxt(..., fmt="%.17g", header=...)."""
+
+    SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.7e308]
+
+    @pytest.mark.parametrize("ncols", [1, 7])
+    @pytest.mark.parametrize("nrows", [1, 4095, 4096, 4097])
+    def test_matches_savetxt(self, tmp_path, ncols, nrows):
+        rng = np.random.default_rng(nrows * 10 + ncols)
+        data = rng.standard_normal((nrows, ncols)) * 10.0 ** rng.integers(-300, 300, (nrows, ncols))
+        flat = data.reshape(-1)
+        flat[:len(self.SPECIAL)] = self.SPECIAL[:flat.size]
+        flat[-len(self.SPECIAL):] = self.SPECIAL[-flat.size:]
+        conf = {"material": "W", "mass": 0.2, "n": 3, "beta": None}
+        columns = {f"c{i}": data[:, i] for i in range(ncols)}
+        _emit_csv(tmp_path / "got.csv", "test", conf, columns)
+        header = "\n".join(["command = test", f"version = {__version__}", "material = W",
+                            "mass = 0.2", "n = 3", "beta = None", ", ".join(columns)])
+        np.savetxt(tmp_path / "want.csv", data, fmt="%.17g", header=header)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 class TestDynamics:
@@ -186,7 +215,10 @@ class TestSynth:
         fa, fb = a / "synth_dip_seed7.csv", b / "synth_dip_seed7.csv"
         assert fa.read_bytes() == fb.read_bytes()
         series = read_series(fa)
+        drawn = gen_baseband(BasebandModel("dip", amplitude=0.62, fwhm_gamma=1.0), 100.0, 0.14, 7)
         assert series.n == 714 and series.dt == 0.14 and series.seed == 7
+        assert series.model_tag == drawn.model_tag
+        assert np.array_equal(series.samples, drawn.samples)
 
     def test_flat_needs_no_amp(self, tmp_path):
         assert main(["synth", "--kind", "flat", "--duration", "10", "--dt", "0.1",

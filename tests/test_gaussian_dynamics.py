@@ -29,6 +29,19 @@ TRAP_ONLY = OscillatorConfig(mass=0.2, omega_cm=0.0, omega_sn=0.3592, gamma_m=0.
 BARE = OscillatorConfig(mass=0.2, omega_cm=0.05, omega_sn=0.0, gamma_m=0.0)
 
 
+def _step_loop(state0, osc, t_final, dt, store_every):
+    """Reference propagation: the step block applied once per record."""
+    n_rec = int(np.ceil(t_final / dt)) // store_every + 1
+    block = np.linalg.matrix_power(_rk4_step_matrix(_drift_matrix(osc), dt), store_every)
+    z = np.array([state0.mean_x, state0.mean_p, state0.var_xx, state0.cov_xp, state0.var_pp])
+    out = np.empty((n_rec, 5))
+    out[0] = z
+    for i in range(1, n_rec):
+        z = block @ z
+        out[i] = z
+    return np.arange(n_rec) * (dt * store_every), out
+
+
 class TestState:
     def test_ground_state_saturates_uncertainty(self):
         s = GaussianState.ground(GENERIC)
@@ -222,6 +235,26 @@ class TestIntegratorGuards:
         scale = np.abs(dense.mean_x).max()
         assert np.allclose(thin.mean_x, dense.mean_x[::10][:n], rtol=0, atol=1e-8 * scale)
         assert np.allclose(thin.var_xx, dense.var_xx[::10][:n], rtol=1e-8)
+
+    @pytest.mark.parametrize("store_every,n_rec", [
+        (store_every, n_rec)
+        for store_every in (1, 7)
+        for n_rec in (1, 2, 1023, 1024, 1025, 3 * 1024 + 5)
+        if n_rec > 1 or store_every > 1  # one record needs fewer steps than store_every
+    ])
+    def test_chunked_powers_match_step_loop(self, store_every, n_rec):
+        period = 2 * np.pi / GENERIC.omega_q
+        dt = period / 1000
+        s0 = GaussianState.ground(GENERIC).squeezed(0.4).displaced(dx=2e-16, dp=1e-18)
+        # ceil(t_final / dt) = n_rec * store_every - 1 steps give n_rec records
+        t_final = (n_rec * store_every - 1.5) * dt
+        traj = evolve_moments(s0, GENERIC, t_final, dt=dt, store_every=store_every)
+        times, ref = _step_loop(s0, GENERIC, t_final, dt, store_every)
+        assert traj.times.size == n_rec
+        np.testing.assert_array_equal(traj.times, times)
+        got = np.column_stack([traj.mean_x, traj.mean_p, traj.var_xx, traj.cov_xp, traj.var_pp])
+        atol = 8 * n_rec * np.finfo(np.float64).eps * np.abs(ref).max(axis=0)
+        assert np.all(np.abs(got - ref) <= atol)
 
     def test_state_at_roundtrip(self):
         period = 2 * np.pi / GENERIC.omega_q

@@ -20,10 +20,8 @@ from snopto.synth import (
     gen_ensemble,
     gen_from_psd,
     quadratures,
-    read_series,
     target_autocovariance,
     trial_rng,
-    write_series,
 )
 
 PEAK = BasebandModel("peak", amplitude=10.0, fwhm_gamma=1.0)
@@ -418,16 +416,6 @@ class TestFullRecordDemodulation:
 
 
 class TestSeriesIO:
-    def test_roundtrip_bit_exact(self, tmp_path):
-        s = gen_baseband(PEAK, 50.0, 0.14, seed=99)
-        path = tmp_path / "series.txt"
-        write_series(s, path)
-        back = read_series(path)
-        assert back.dt == s.dt
-        assert back.seed == s.seed
-        assert back.model_tag == s.model_tag
-        assert np.array_equal(back.samples, s.samples)
-
     def test_series_validation(self):
         with pytest.raises(DomainError):
             BasebandSeries(0.1, np.array([1.0, np.inf]), 0, "x")
