@@ -270,7 +270,7 @@ _SPECS = {
         "beta": None,
         "wmin": None,
         "wmax": None,
-        "npoints": 2001,
+        "npoints": None,
         "seed": 0,
     },
     "dynamics": {
@@ -345,7 +345,7 @@ _HELP = {
     "prescription": "qm, pre or post (feasibility: pre or post)",
     "beta": "measurement strength (overrides --i-in)",
     "wmin": "lower end of a log grid, with --wmax",
-    "npoints": "grid points between --wmin and --wmax",
+    "npoints": "grid points between --wmin and --wmax (default 2001)",
     "kind": "flat, peak or dip (detect, taumin: peak or dip)",
     "truth": "flat, or the alternative kind",
     "n": "trial count (taumin: per probed duration)",
@@ -412,7 +412,10 @@ def cmd_spectrum(args) -> int:
     if (conf["wmin"] is None) != (conf["wmax"] is None):
         raise ConfigError("give both --wmin and --wmax, or neither")
     if conf["wmin"] is not None:
-        grid = frequency_grid(conf["wmin"], conf["wmax"], conf["npoints"], "log")
+        npoints = 2001 if conf["npoints"] is None else conf["npoints"]
+        grid = frequency_grid(conf["wmin"], conf["wmax"], npoints, "log")
+    elif conf["npoints"] is not None:
+        raise ConfigError("--npoints needs --wmin and --wmax")
     else:
         grid = default_grid(params, prescription if prescription == "post" else "pre")
     spectrum = evaluate(prescription, grid, params)

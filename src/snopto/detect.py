@@ -23,13 +23,17 @@ whitens whole batches of trials in one pass over time. No N x N matrix is
 formed. The Whittle (periodogram) approximation is kept as the
 approximation criterion 7 tests, cross-checked against the exact form.
 
-Everything random is reproducible (synth.SEED_CONTRACT): trial i of
-outcome_probs draws from SeedSequence(entropy=master_seed, spawn_key=(i,)).
-The duration search and duration_sweep use spawn_key=(truth_index, i),
-truth 0 the flat law and 1 the alt, with no duration in the key: records
-are nested, the record of n samples being the first n samples of the
-trial's longer record, so one pass over time scores every duration up to
-its length and every duration sees the same noise.
+Everything random is reproducible (synth.SEED_CONTRACT, version 3):
+trials are drawn in blocks of synth.TRIAL_BLOCK = 256, block b from one
+stream SeedSequence(entropy=master_seed, spawn_key=prefix + (b,)) filled
+time-major, and trial i is column i % 256 of block i // 256. The prefix
+is () for outcome_probs and (truth_index,) for the duration search and
+duration_sweep, truth 0 the flat law and 1 the alt, with no duration in
+the key: records are nested, the record of n samples being the first n
+samples of the trial's longer record, so one pass over time scores every
+duration up to its length and every duration sees the same noise. Chunks
+and worker ranges are cut at block boundaries, so results do not depend
+on --jobs.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ import numpy as np
 from scipy.special import erfcinv
 
 from .errors import BoundedSearchError, ConfigError, DomainError
-from .synth import BasebandModel, BasebandSeries, covariance_factor
+from .synth import TRIAL_BLOCK, BasebandModel, BasebandSeries, covariance_factor, normals
 
 _CHUNK_TRIALS = 2048  # trials coloured and whitened per batch of short records
 _CHUNK_SAMPLES = 2**22  # samples per batch (32 MB per array) once records are long
@@ -216,8 +220,9 @@ def decide(y: float, y_th: float) -> str:
 
 
 def _chunk_trials(n: int) -> int:
-    """Trials per batch for records of n samples."""
-    return min(_CHUNK_TRIALS, max(1, _CHUNK_SAMPLES // n))
+    """Trials per batch for records of n samples, whole blocks of TRIAL_BLOCK."""
+    blocks = min(_CHUNK_TRIALS, _CHUNK_SAMPLES // n) // TRIAL_BLOCK
+    return TRIAL_BLOCK * max(1, blocks)
 
 
 def _y_batch(
@@ -233,7 +238,7 @@ def _y_batch(
     """Y at every record length in ns (ascending) for trials lo..hi-1.
 
     Returns a (len(ns), hi - lo) block from one pass over time. Trial i
-    draws max(ns) standard normals from its own derived stream. The
+    takes max(ns) standard normals from its column of synth.normals. The
     factor is causal and the first n gains of a longer factor are the
     length-n factor, so the record of n samples is the first n samples of
     the long one. Sample k adds half of (2 log m_k + log dt) + u_k^2 -
@@ -263,10 +268,7 @@ def _y_batch(
     step = _chunk_trials(n)
     for start in range(lo, hi, step):
         stop = min(start + step, hi)
-        z = np.empty((n, stop - start))
-        for i in range(start, stop):
-            ss = np.random.SeedSequence(entropy=master_seed, spawn_key=spawn_prefix + (i,))
-            z[:, i - start] = np.random.default_rng(ss).standard_normal(n)
+        z = normals(master_seed, spawn_prefix, n, start, stop)
         if f_truth is f_alt:
             u, x = z, f_alt.colour(z)
         else:
@@ -297,16 +299,19 @@ def _y_table(
     spawn_prefix: tuple,
     jobs: int,
 ) -> np.ndarray:
-    """_y_batch over trials 0..n_trials-1, split into `jobs` worker ranges."""
+    """_y_batch over trials 0..n_trials-1, split into `jobs` worker ranges.
+
+    Ranges are cut at block boundaries, so no block's stream is drawn by
+    two workers.
+    """
     args = (truth, alt, ns, dt, master_seed, spawn_prefix)
     if jobs <= 1 or n_trials < 2 * _chunk_trials(ns[-1]):
         return _y_batch(*args, 0, n_trials)
-    bounds = np.linspace(0, n_trials, jobs + 1).astype(int)
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futs = [
-            pool.submit(_y_batch, *args, int(bounds[j]), int(bounds[j + 1]))
-            for j in range(jobs)
-        ]
+    n_blocks = -(-n_trials // TRIAL_BLOCK)
+    bounds = np.minimum(np.linspace(0, n_blocks, jobs + 1).astype(int) * TRIAL_BLOCK, n_trials)
+    ranges = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+    with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
+        futs = [pool.submit(_y_batch, *args, a, b) for a, b in ranges]
         return np.concatenate([f.result() for f in futs], axis=1)
 
 

@@ -35,15 +35,25 @@ the band), which is exactly why its real and imaginary parts come out as
 independent quadratures.
 
 Seed discipline, versioned as SEED_CONTRACT and used verbatim by the
-decision Monte Carlo: trial i of a run with master seed s draws from
-numpy.random.default_rng(numpy.random.SeedSequence(entropy=s, spawn_key=(i,))),
-and its record is the exact factor applied to the first n standard normals
-of that stream. gen_baseband with seed s is trial 0 of gen_ensemble with
-master seed s. The duration search of the detect module keys trial i of
-truth t (0 flat, 1 featured) by spawn_key=(t, i) and uses nested records:
-its record of n samples is the first n samples of a longer one, so every
-duration sees the same noise. Contract 1 keyed the search by (n, t, i),
-fresh noise per duration; contract 2 is the current rule.
+decision Monte Carlo: trials come in blocks of TRIAL_BLOCK = 256. Block b
+of a run with master seed s and spawn prefix p holds trials b*256 through
+b*256 + 255 and draws from one stream,
+numpy.random.default_rng(numpy.random.SeedSequence(entropy=s,
+spawn_key=p + (b,))), filled time-major: its first n draws of 256 are the
+first standard normals of those 256 trials, so trial i is column i % 256 of
+block i // 256 and its record is the exact factor applied to that column.
+A partial last block still draws its full width, so no trial depends on
+how many trials run, or how they are split into chunks or workers.
+gen_ensemble uses the prefix (); the duration search of the detect module
+keys truth t (0 flat, 1 featured) by the prefix (t,) and uses nested
+records: its record of n samples is the first n samples of a longer one,
+so every duration sees the same noise.
+
+A single record (gen_baseband, gen_from_psd) draws from its own one-trial
+stream, trial_rng(s, 0) = SeedSequence(entropy=s, spawn_key=(0,)), rather
+than a whole block; it is not trial 0 of gen_ensemble. Contract 1 keyed
+the search by (n, t, i), fresh noise per duration; contract 2 seeded
+every trial on its own by (i,) or (t, i); contract 3 is the current rule.
 """
 
 from __future__ import annotations
@@ -56,7 +66,8 @@ import numpy as np
 from .errors import ConfigError, DomainError
 
 KINDS = ("flat", "peak", "dip")
-SEED_CONTRACT = 2  # version of the seed-derivation rule in the module docstring
+TRIAL_BLOCK = 256  # trials per random stream (seed contract 3)
+SEED_CONTRACT = 3  # version of the seed-derivation rule in the module docstring
 
 
 @dataclass(frozen=True)
@@ -260,9 +271,36 @@ def covariance_factor(model: BasebandModel, n: int, dt: float) -> CovarianceFact
 
 
 def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
-    """Per-trial generator; the documented bit-exact derivation rule."""
+    """One-trial generator of a single record; the documented bit-exact rule."""
     ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(trial_index,))
     return np.random.default_rng(ss)
+
+
+def normals(master_seed: int, prefix: tuple, n: int, lo: int, hi: int) -> np.ndarray:
+    """(n, hi - lo) standard normals of trials lo..hi-1 under seed contract 3.
+
+    Column j is the first n normals of trial lo + j. Each block's stream
+    fills whole rows of its columns in place, one row of TRIAL_BLOCK
+    draws at a time; only a block cut by lo or hi goes through a
+    one-row buffer, so no extra block of n rows is ever allocated.
+    """
+    z = np.empty((n, hi - lo))
+    for b in range(lo // TRIAL_BLOCK, -(-hi // TRIAL_BLOCK)):
+        first = b * TRIAL_BLOCK
+        a, e = max(lo, first), min(hi, first + TRIAL_BLOCK)
+        draw = np.random.default_rng(
+            np.random.SeedSequence(entropy=master_seed, spawn_key=prefix + (b,))
+        ).standard_normal
+        cols = z[:, a - lo : e - lo]
+        if e - a == TRIAL_BLOCK:
+            for row in cols:
+                draw(out=row)
+        else:
+            buf = np.empty(TRIAL_BLOCK)
+            for row in cols:
+                draw(out=buf)
+                row[:] = buf[a - first : e - first]
+    return z
 
 
 def _check_resolution(model: BasebandModel, dt: float):
@@ -272,14 +310,32 @@ def _check_resolution(model: BasebandModel, dt: float):
         )
 
 
+def _record_length(duration: float, dt: float) -> int:
+    if dt <= 0:
+        raise ConfigError(f"dt must be > 0, got {dt}")
+    n = int(round(duration / dt))
+    if n < 2:
+        raise ConfigError(f"duration {duration} at dt {dt} gives {n} samples; need >= 2")
+    return n
+
+
+def _colour(model: BasebandModel, z: np.ndarray, dt: float) -> np.ndarray:
+    if model.kind == "flat":
+        return z / np.sqrt(dt)
+    return covariance_factor(model, z.shape[0], dt).colour(z)
+
+
 def gen_baseband(model: BasebandModel, duration: float, dt: float, seed: int) -> BasebandSeries:
     """Draw one zero-mean stationary Gaussian record of the model spectrum.
 
     n = round(duration / dt) samples, the exact factor of the model's
-    covariance applied to n standard normals from trial_rng(seed, 0), at
-    O(n) cost for any n. Deterministic given (model, duration, dt, seed).
+    covariance applied to n standard normals from the one-trial stream
+    trial_rng(seed, 0), at O(n) cost for any n. Deterministic given
+    (model, duration, dt, seed).
     """
-    samples = gen_ensemble(model, duration, dt, int(seed), 1)[0]
+    n = _record_length(duration, dt)
+    _check_resolution(model, dt)
+    samples = _colour(model, trial_rng(int(seed), 0).standard_normal(n), dt)
     return BasebandSeries(dt=dt, samples=samples, seed=int(seed), model_tag=model.tag)
 
 
@@ -290,26 +346,16 @@ def gen_ensemble(
     master_seed: int,
     n_trials: int,
 ) -> np.ndarray:
-    """(n_trials, n) array of independent records, one per derived trial seed.
+    """(n_trials, n) array of independent records under seed contract 3.
 
-    Row i colours the first n standard normals of trial_rng(master_seed, i);
+    Row i colours column i of normals(master_seed, (), n, 0, n_trials);
     the whole ensemble runs through the factor in one batched pass.
     """
     if n_trials < 1:
         raise ConfigError("n_trials must be >= 1")
-    if dt <= 0:
-        raise ConfigError(f"dt must be > 0, got {dt}")
-    n = int(round(duration / dt))
-    if n < 2:
-        raise ConfigError(f"duration {duration} at dt {dt} gives {n} samples; need >= 2")
+    n = _record_length(duration, dt)
     _check_resolution(model, dt)
-
-    z = np.empty((n, n_trials))
-    for i in range(n_trials):
-        z[:, i] = trial_rng(master_seed, i).standard_normal(n)
-    if model.kind == "flat":
-        return (z / np.sqrt(dt)).T
-    return covariance_factor(model, n, dt).colour(z).T
+    return _colour(model, normals(master_seed, (), n, 0, n_trials), dt).T
 
 
 def gen_from_psd(psd, duration: float, dt: float, seed: int) -> BasebandSeries:
@@ -320,11 +366,7 @@ def gen_from_psd(psd, duration: float, dt: float, seed: int) -> BasebandSeries:
     spectrum is the sampled psd; for smooth spectra that is the target law
     up to resolution, which is all the full-record demodulation tests need.
     """
-    if dt <= 0:
-        raise ConfigError(f"dt must be > 0, got {dt}")
-    n = int(round(duration / dt))
-    if n < 2:
-        raise ConfigError(f"duration {duration} at dt {dt} gives {n} samples; need >= 2")
+    n = _record_length(duration, dt)
     omega = 2 * np.pi * np.fft.fftfreq(n, d=dt)
     lam = np.asarray(psd(omega), dtype=float) / dt
     if lam.min() < 0:

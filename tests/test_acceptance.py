@@ -162,8 +162,8 @@ PAIR62 = HypothesisPair(FLAT, DIP62)
 def test_criterion_4_decision_rates():
     # reference decision problem: 0.62 dip, record of 200 coherence halves,
     # dt = 0.14, threshold 2, 1e5 trials per truth. measured at master seed
-    # 0: dip truth (0.78669, 0.01100, 0.20231), flat truth (0.80581,
-    # 0.01935, 0.17484)
+    # 0 (seed contract 3): dip truth (0.78591, 0.01107, 0.20302), flat
+    # truth (0.80571, 0.01971, 0.17458)
     targets = {
         "dip": (DIP62, 0.787, 0.011, 0.202),
         "flat": (FLAT, 0.802, 0.021, 0.177),
@@ -200,9 +200,9 @@ def _tau_ratio(kind: str, amp: float, p: float) -> float:
 @pytest.mark.slow
 def test_criterion_5_minimum_time_scaling():
     # measured ratios at master seed 0 (1e4 trials per point, nested
-    # records of seed contract 2): peaks 0.96/0.97/1.20 for
-    # h = 30/100/1000; dips 1.00/1.00/0.94 for d = 0.4/0.62/0.8;
-    # confidence 1.00/1.06/1.09 for p = 10/5/1. the h = 1000 search
+    # records of seed contract 3): peaks 0.93/0.97/1.20 for
+    # h = 30/100/1000; dips 1.00/1.00/1.00 for d = 0.4/0.62/0.8;
+    # confidence 1.00/1.06/1.13 for p = 10/5/1. the h = 1000 search
     # bottoms out at 3 samples per record, where the integer grid alone
     # contributes tens of percent.
     for h in (30.0, 100.0, 1000.0):

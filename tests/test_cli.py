@@ -154,12 +154,22 @@ class TestSpectrum:
         data = np.loadtxt(tmp_path / "spectrum_pre_seed0.csv")
         np.testing.assert_array_equal(data[:, 0], np.geomspace(0.1, 10.0, 5))
 
+    def test_npoints_only_sizes_an_explicit_grid(self, tmp_path):
+        # the default grid ignores --npoints (test_bad_grid_rejected), so
+        # default configs record none; an explicit grid defaults to 2001
+        assert main(["spectrum", "--outdir", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "spectrum_pre_seed0.json").read_text())
+        assert payload["config"]["npoints"] is None
+        assert main(["spectrum", "--wmin", "0.1", "--wmax", "10", "--outdir", str(tmp_path)]) == 0
+        assert np.loadtxt(tmp_path / "spectrum_pre_seed0.csv").shape == (2001, 2)
+
     @pytest.mark.parametrize("flags", [
         ["--wmin", "0", "--wmax", "1"],
         ["--wmin", "2", "--wmax", "1"],
         ["--wmin", "1", "--wmax", "2", "--npoints", "1"],
         ["--wmin", "1"],
         ["--wmax", "1"],
+        ["--npoints", "5"],
     ])
     def test_bad_grid_rejected(self, tmp_path, capsys, flags):
         assert main(["spectrum", *flags, "--outdir", str(tmp_path)]) == 2

@@ -26,12 +26,13 @@ from snopto.detect import (
     y_ensemble,
 )
 from snopto.synth import (
+    TRIAL_BLOCK,
     BasebandModel,
     BasebandSeries,
     covariance_row,
     gen_baseband,
     gen_ensemble,
-    trial_rng,
+    normals,
 )
 
 DIP = BasebandModel("dip", amplitude=0.62, fwhm_gamma=1.0)
@@ -180,8 +181,9 @@ class TestEngine:
         # Cholesky route are three routes to the same number
         n, dt = 300, 0.14
         ys = y_ensemble(DIP, PAIR_DIP, n * dt, dt, 5, master_seed=7)
+        z = normals(7, (), n, 0, 5)
         for i in range(5):
-            x = _dense_record(DIP, trial_rng(7, i).standard_normal(n), dt)
+            x = _dense_record(DIP, z[:, i], dt)
             s = BasebandSeries(dt, x, 0, "x")
             assert ys[i] == pytest.approx(estimator_y(s, PAIR_DIP), rel=1e-10)
             assert ys[i] == pytest.approx(_dense_y(x, PAIR_DIP, dt), rel=1e-10)
@@ -189,9 +191,9 @@ class TestEngine:
     def test_flat_truth_matches_generator(self):
         n, dt = 200, 0.14
         ys = y_ensemble(FLAT, PAIR_DIP, n * dt, dt, 3, master_seed=11)
+        z = normals(11, (), n, 0, 3)
         for i in range(3):
-            z = trial_rng(11, i).standard_normal(n)
-            s = BasebandSeries(dt, z / np.sqrt(dt), 0, "x")
+            s = BasebandSeries(dt, z[:, i] / np.sqrt(dt), 0, "x")
             assert ys[i] == pytest.approx(estimator_y(s, PAIR_DIP), rel=1e-10)
             assert ys[i] == pytest.approx(_dense_y(s.samples, PAIR_DIP, dt), rel=1e-10)
 
@@ -200,8 +202,9 @@ class TestEngine:
         # records coloured by the truth's factor, whitened by the alt's
         n, dt = 300, 0.14
         ys = y_ensemble(truth, pair, n * dt, dt, 4, master_seed=13)
+        z = normals(13, (), n, 0, 4)
         for i in range(4):
-            x = _dense_record(truth, trial_rng(13, i).standard_normal(n), dt)
+            x = _dense_record(truth, z[:, i], dt)
             assert ys[i] == pytest.approx(_dense_y(x, pair, dt), rel=1e-10)
 
     @pytest.mark.parametrize("truth", [FLAT, DIP, PEAK])
@@ -248,6 +251,30 @@ class TestEngine:
         two = y_ensemble(truth, PAIR_DIP, 300 * dt, dt, 4099, master_seed=3, jobs=2)
         assert np.array_equal(one, two)
         assert np.array_equal(one[:1], y_ensemble(truth, PAIR_DIP, 300 * dt, dt, 1, master_seed=3))
+
+    @pytest.mark.parametrize("n", [1, 2, 255, 1429, 6006, 8192, 2**22, 2**23])
+    def test_chunks_hold_whole_blocks(self, n):
+        step = detect._chunk_trials(n)
+        assert step % TRIAL_BLOCK == 0 and TRIAL_BLOCK <= step <= detect._CHUNK_TRIALS
+        assert step * n <= detect._CHUNK_SAMPLES or step == TRIAL_BLOCK
+
+    def test_results_independent_of_chunk_size(self, monkeypatch):
+        # 4099 trials in 256-trial chunks, one partial block at the end,
+        # against the default 2048-trial chunks
+        dt = 0.14
+        wide = y_ensemble(DIP, PAIR_DIP, 40 * dt, dt, 4099, master_seed=23)
+        monkeypatch.setattr(detect, "_CHUNK_SAMPLES", 40 * TRIAL_BLOCK)
+        assert detect._chunk_trials(40) == TRIAL_BLOCK
+        assert np.array_equal(wide, y_ensemble(DIP, PAIR_DIP, 40 * dt, dt, 4099, master_seed=23))
+
+    def test_nested_pass_independent_of_jobs(self):
+        # a nested pass split across two workers, cut at a block boundary
+        dt, ns = 0.14, [3, 20, 64]
+        one = detect._y_table(PEAK, DIP, ns, dt, 4099, 8, (0,), 1)
+        two = detect._y_table(PEAK, DIP, ns, dt, 4099, 8, (0,), 2)
+        assert np.array_equal(one, two)
+        short = y_ensemble(PEAK, PAIR_DIP, 20 * dt, dt, 300, master_seed=8, spawn_prefix=(0,))
+        assert np.array_equal(one[1, :300], short)
 
     @pytest.mark.parametrize("truth,pair", [(FLAT, PAIR_DIP), (DIP, PAIR_DIP), (PEAK, PAIR_DIP),
                                             (DIP, PAIR_PEAK)])
@@ -340,6 +367,22 @@ class TestOutcomeProbs:
         assert rep_f.p_correct == pytest.approx(0.802, abs=0.015)
         assert rep_f.p_wrong == pytest.approx(0.021, abs=0.007)
         assert rep_f.p_indecision == pytest.approx(0.177, abs=0.015)
+
+    # exact (correct, wrong, indecision) at the reference operating point:
+    # Y is a weighted sum of chi-square variables whose weights come from
+    # the eigenvalues of the dip covariance, and Imhof's inversion (Imhof
+    # 1961, Biometrika 48:419) gives its distribution without Monte Carlo
+    EXACT_RATES = {"dip": (0.78563, 0.01107, 0.20330), "flat": (0.80539, 0.02042, 0.17419)}
+
+    @pytest.mark.parametrize("truth", [DIP, FLAT], ids=["dip", "flat"])
+    def test_rates_match_the_exact_law(self, truth):
+        # an oracle independent of the random stream: each rate within
+        # four binomial standard errors of its exact value
+        n = 20000
+        rep = outcome_probs(truth, PAIR_DIP, 200.0, 0.14, 2.0, n, master_seed=1001)
+        got = (rep.p_correct, rep.p_wrong, rep.p_indecision)
+        for p_mc, p in zip(got, self.EXACT_RATES[truth.kind]):
+            assert abs(p_mc - p) <= 4 * math.sqrt(p * (1 - p) / n), (got, p)
 
     def test_report_validation(self):
         with pytest.raises(DomainError):
@@ -484,6 +527,9 @@ class TestTauMin:
         two = tau_min(pair, 0.10, n_trials=4100, master_seed=57, jobs=2)
         assert one == two
 
+    # one stream per block of 256 trials and truth: 400 trials are 2 blocks
+    SEEDS_PER_PASS = 2 * math.ceil(400 / 256)
+
     @staticmethod
     def _count_seeds(monkeypatch):
         made = []
@@ -504,7 +550,7 @@ class TestTauMin:
         res = tau_min(pair, 0.10, n_trials=400, master_seed=0)
         oks = [ok for _, ok, _, _ in res.probes]
         assert oks[:2] == [True, False] and len(oks) > 2  # bracket below n0, then bisection
-        assert len(made) == 2 * 400
+        assert len(made) == self.SEEDS_PER_PASS
 
     def test_deeper_bracket_draws_a_second_pass(self, monkeypatch):
         made = self._count_seeds(monkeypatch)
@@ -512,15 +558,22 @@ class TestTauMin:
         res = tau_min(pair, 0.40, n_trials=400, master_seed=0)
         oks = [ok for _, ok, _, _ in res.probes]
         assert oks[:3] == [True, True, True] and False in oks  # bracket three octaves down
-        assert len(made) == 2 * 2 * 400
+        assert len(made) == 2 * self.SEEDS_PER_PASS
 
     def test_doubling_pass_records_its_bisection_tree(self, monkeypatch):
         made = self._count_seeds(monkeypatch)
         pair = HypothesisPair(FLAT, BasebandModel("peak", amplitude=10.0, fwhm_gamma=1.0))
-        res = tau_min(pair, 0.10, n_trials=400, master_seed=0)
+        # seed 1: at seed 0 the contract-3 draws make the fit estimate feasible
+        res = tau_min(pair, 0.10, n_trials=400, master_seed=1)
         oks = [ok for _, ok, _, _ in res.probes]
         assert oks[:2] == [False, True] and len(oks) > 2  # one doubling, then bisection
-        assert len(made) == 2 * 2 * 400
+        assert len(made) == 2 * self.SEEDS_PER_PASS
+
+    def test_one_stream_per_block_of_trials(self, monkeypatch):
+        # one nested pass over 1e4 trials seeds 2 truths x 40 blocks, not 2e4 trials
+        made = self._count_seeds(monkeypatch)
+        duration_sweep(PAIR_PEAK, [2, 3], 0.14, 0.10, 10000, master_seed=0)
+        assert len(made) == 2 * 40
 
     def test_validation(self):
         with pytest.raises(ConfigError):

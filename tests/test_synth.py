@@ -19,6 +19,7 @@ from snopto.synth import (
     gen_baseband,
     gen_ensemble,
     gen_from_psd,
+    normals,
     quadratures,
     target_autocovariance,
     trial_rng,
@@ -153,16 +154,19 @@ class TestGeneratorBasics:
         assert not np.array_equal(a.samples, b.samples)
 
     def test_records_colour_the_trial_streams(self):
-        # the documented stream: record i is the exact covariance factor
-        # applied to the first n normals of trial_rng(seed, i)
+        # the documented streams: record i of an ensemble is the exact
+        # covariance factor applied to column i of normals(seed, (), n, ...),
+        # and a single record colours the one-trial stream trial_rng(seed, 0)
         n, dt = 300, 0.14
         lfac = _dense_factor(DIP, n, dt)
-        s = gen_baseband(DIP, n * dt, dt, seed=31)
         x = gen_ensemble(DIP, n * dt, dt, master_seed=31, n_trials=3)
-        assert np.array_equal(s.samples, x[0])
+        z = normals(31, (), n, 0, 3)
         for i in range(3):
-            expected = lfac @ trial_rng(31, i).standard_normal(n)
+            expected = lfac @ z[:, i]
             assert np.abs(x[i] - expected).max() <= 1e-11 * np.abs(expected).max()
+        s = gen_baseband(DIP, n * dt, dt, seed=31)
+        expected = lfac @ trial_rng(31, 0).standard_normal(n)
+        assert np.abs(s.samples - expected).max() <= 1e-11 * np.abs(expected).max()
 
     def test_length_and_metadata(self):
         s = gen_baseband(PEAK, 200.0, 0.14, seed=1)
@@ -202,6 +206,37 @@ class TestGeneratorBasics:
         ss = np.random.SeedSequence(entropy=12345, spawn_key=(7,))
         b = np.random.default_rng(ss).standard_normal(4)
         assert np.array_equal(a, b)
+
+
+def _block(seed, prefix, b, n):
+    # seed contract 3 spelled out: block b is one time-major (n, 256) draw
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=prefix + (b,))
+    return np.random.default_rng(ss).standard_normal((n, 256))
+
+
+class TestSeedContract:
+    def test_trial_i_is_column_of_its_block(self):
+        n = 37
+        want = np.concatenate([_block(5, (1,), b, n) for b in range(3)], axis=1)
+        assert np.array_equal(normals(5, (1,), n, 0, 600), want[:, :600])
+        # ranges cut inside a block, or holding one trial, read the same columns
+        for lo, hi in ((7, 555), (256, 512), (300, 301), (0, 1)):
+            assert np.array_equal(normals(5, (1,), n, lo, hi), want[:, lo:hi]), (lo, hi)
+
+    def test_shorter_records_are_prefixes(self):
+        long = normals(9, (0,), 1000, 0, 300)
+        assert np.array_equal(normals(9, (0,), 123, 0, 300), long[:123])
+        assert np.array_equal(normals(9, (0,), 2, 250, 300), long[:2, 250:])
+
+    def test_prefix_and_seed_select_the_stream(self):
+        base = normals(4, (), 8, 0, 256)
+        assert np.array_equal(base, _block(4, (), 0, 8))
+        assert not np.array_equal(base, normals(4, (0,), 8, 0, 256))
+        assert not np.array_equal(base, normals(5, (), 8, 0, 256))
+
+    def test_ensemble_rows_do_not_depend_on_its_size(self):
+        x = gen_ensemble(PEAK, 40 * 0.14, 0.14, master_seed=3, n_trials=300)
+        assert np.array_equal(gen_ensemble(PEAK, 40 * 0.14, 0.14, master_seed=3, n_trials=7), x[:7])
 
 
 class TestGeneratorStatistics:
