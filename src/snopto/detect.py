@@ -39,11 +39,10 @@ on --jobs.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import erfcinv
 
 from .errors import BoundedSearchError, ConfigError, DomainError
 from .synth import TRIAL_BLOCK, BasebandModel, BasebandSeries, covariance_factor, normals
@@ -310,6 +309,8 @@ def _y_table(
     n_blocks = -(-n_trials // TRIAL_BLOCK)
     bounds = np.minimum(np.linspace(0, n_blocks, jobs + 1).astype(int) * TRIAL_BLOCK, n_trials)
     ranges = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+    from concurrent.futures import ProcessPoolExecutor  # only parallel runs pay its import
+
     with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
         futs = [pool.submit(_y_batch, *args, a, b) for a, b in ranges]
         return np.concatenate([f.result() for f in futs], axis=1)
@@ -389,6 +390,19 @@ def outcome_probs(
 # -------------------------------------------------------- threshold search
 
 
+def _levels(af: np.ndarray, aa: np.ndarray) -> np.ndarray:
+    """Zero and every distinct value of af and aa, ascending.
+
+    np.unique would do, but it imports numpy.ma on first use; a neighbour
+    mask over the sorted values keeps the same first-of-each-run values.
+    """
+    cand = np.concatenate([af, aa, [0.0]])
+    cand.sort()
+    keep = np.ones(cand.size, dtype=bool)
+    keep[1:] = cand[1:] != cand[:-1]
+    return cand[keep]
+
+
 def threshold_search(y_flat: np.ndarray, y_alt: np.ndarray, confidence_p: float):
     """Best threshold for two empirical Y ensembles.
 
@@ -406,7 +420,7 @@ def threshold_search(y_flat: np.ndarray, y_alt: np.ndarray, confidence_p: float)
     sa = np.sort(y_alt)
     af = np.sort(np.abs(y_flat))
     aa = np.sort(np.abs(y_alt))
-    cand = np.unique(np.concatenate([af, aa, [0.0]]))
+    cand = _levels(af, aa)
 
     # wrong and undecided under the flat truth, then under the alt; the
     # running maximum keeps one rate array alive at a time
@@ -419,6 +433,15 @@ def threshold_search(y_flat: np.ndarray, y_alt: np.ndarray, confidence_p: float)
     # ties toward the larger threshold: scan the equal-minimum set from above
     j = int(np.nonzero(worst == best_worst)[0][-1])
     return bool(best_worst <= confidence_p), float(cand[j]), float(best_worst)
+
+
+def _erfcinv(y: float) -> float:
+    """Inverse complementary error function on (0, 2): erfc(x) = y.
+
+    erfc(x) = 2 Phi(-x sqrt 2) for the standard normal CDF Phi, so
+    x = -Phi^-1(y / 2) / sqrt 2.
+    """
+    return -NormalDist().inv_cdf(y / 2.0) / math.sqrt(2.0)
 
 
 def fit_prediction(kind: str, amplitude: float, gamma: float, p: float = 10.0) -> FitPrediction:
@@ -453,7 +476,7 @@ def fit_prediction(kind: str, amplitude: float, gamma: float, p: float = 10.0) -
         raise ConfigError(f"kind must be peak or dip, got {kind!r}")
 
     def conf(pp: float) -> float:
-        return (2.94 - 7.38 * erfcinv(pp / 100.0)) ** 2
+        return (2.94 - 7.38 * _erfcinv(pp / 100.0)) ** 2
 
     ct_halved *= conf(p) / conf(10.0)
     coherence = 2.0 / gamma

@@ -23,12 +23,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .constants import AMU, G_NEWTON
 from .errors import ConfigError, DomainError
 
 _A2 = 1e-20  # angstrom^2 in m^2
+# otypes fixes the result type, so an empty array needs no trial call
+_erf = np.vectorize(math.erf, otypes=[float])
 
 
 @dataclass(frozen=True)
@@ -101,7 +102,7 @@ def self_energy(x, total_mass: float, atomic_mass: float, dx_zp: float):
         + x[small] ** 2 / (12.0 * math.sqrt(math.pi) * dx_zp**3)
     )
     xb = x[~small]
-    out[~small] = pref * (1.0 / dx_zp - erf(xb / (2.0 * dx_zp)) / xb)
+    out[~small] = pref * (1.0 / dx_zp - _erf(xb / (2.0 * dx_zp)) / xb)
     return out[0] if scalar else out
 
 

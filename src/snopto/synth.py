@@ -63,6 +63,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# numpy loads numpy.random lazily; import it with the package, not inside the first draw
+import numpy.random  # noqa: F401
+
 from .errors import ConfigError, DomainError
 
 KINDS = ("flat", "peak", "dip")

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.linalg import toeplitz
+from scipy.special import erfcinv
 
 from conftest import ORACLE_GRID
 from snopto import detect
@@ -14,6 +15,8 @@ from snopto.detect import (
     DecisionReport,
     HypothesisPair,
     TauMinResult,
+    _erfcinv,
+    _levels,
     decide,
     duration_sweep,
     estimator_y,
@@ -418,6 +421,27 @@ class TestThresholdSearch:
         with pytest.raises(ConfigError):
             threshold_search(np.zeros(4), np.zeros(4), 0.0)
 
+    @pytest.mark.parametrize(
+        "yf, ya",
+        [
+            ([1.0, -1.0, 2.0, -2.0, 0.0], [-1.0, 1.0, 0.0, 0.0, 3.0]),
+            ([0.0, 0.0, -0.0], [0.0, -0.0]),
+            ([5.0], [-5.0]),
+            (np.round(np.random.default_rng(1).standard_normal(500), 1),
+             np.round(np.random.default_rng(2).standard_normal(300) * 2, 1)),
+        ],
+        ids=["ties", "zeros", "single", "rounded-normals"],
+    )
+    def test_levels_match_unique(self, yf, ya):
+        # the candidate levels: zero and the distinct |Y| of both ensembles
+        af = np.sort(np.abs(np.asarray(yf)))
+        aa = np.sort(np.abs(np.asarray(ya)))
+        got = _levels(af, aa)
+        ref = np.unique(np.concatenate([af, aa, [0.0]]))
+        assert got.dtype == ref.dtype
+        np.testing.assert_array_equal(got, ref)
+        assert not np.signbit(got).any()
+
 
 class TestFitPrediction:
     def test_peak_frozen_values(self):
@@ -441,6 +465,30 @@ class TestFitPrediction:
         assert fit_prediction("dip", 0.62, 1.0, p=1.0).coherence_times / base == pytest.approx(
             110.29 / 31.85, rel=2e-3
         )
+
+    def test_erfcinv_against_scipy(self):
+        # every p from 0.01 % to 99.99 % in steps of 0.01 %
+        y = np.arange(1, 10000) / 1e4
+        got = np.array([_erfcinv(v) for v in y])
+        np.testing.assert_allclose(got, erfcinv(y), rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("amp, gamma", [(30.0, 1.0), (100.0, 0.25), (1000.0, 3.0)])
+    def test_peak_closed_form_at_p10(self, amp, gamma):
+        ct = 13.5 / amp**0.73
+        fp = fit_prediction("peak", amp, gamma, p=10.0)
+        assert fp.coherence_times == ct
+        assert fp.coherence_times_unhalved == 2 * ct
+        assert fp.seconds == ct * (2.0 / gamma)
+        assert fp.seconds_unhalved == 2 * ct * (2.0 / gamma)
+
+    @pytest.mark.parametrize("amp, gamma", [(0.4, 1.0), (0.62, 0.25), (0.8, 3.0)])
+    def test_dip_closed_form_at_p10(self, amp, gamma):
+        ct = 18.3 / amp**2 - 10.7 / amp
+        fp = fit_prediction("dip", amp, gamma, p=10.0)
+        assert fp.coherence_times == ct
+        assert fp.coherence_times_unhalved == 2 * ct
+        assert fp.seconds == ct * (2.0 / gamma)
+        assert fp.seconds_unhalved == 2 * ct * (2.0 / gamma)
 
     def test_seconds_scale_with_gamma(self):
         a = fit_prediction("dip", 0.62, 1.0)

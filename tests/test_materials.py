@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.special import erf
 
 from snopto.constants import AMU, G_NEWTON
 from snopto.errors import ConfigError, DomainError
@@ -139,6 +140,21 @@ class TestSelfEnergy:
         e = self.energy(xs)
         assert e.shape == (3,)
         assert e[1] == pytest.approx(e[2], rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "xs",
+        [2.5, np.empty(0), np.array([0.0, 0.5e-6, -0.999e-6, 1.001e-6, 1e-3, -0.3, 2.0, 40.0])],
+        ids=["scalar", "empty", "across-series-switch"],
+    )
+    def test_erf_against_scipy(self, xs, monkeypatch):
+        # positions in units of dx; the oracle is the same closed form with scipy's erf
+        x = np.asarray(xs) * self.dx
+        got = self.energy(x)
+        monkeypatch.setattr(mat, "_erf", erf)
+        ref = self.energy(x)
+        assert np.shape(got) == np.shape(ref)
+        assert np.asarray(got).dtype == np.float64
+        np.testing.assert_allclose(got, ref, rtol=1e-15, atol=0)
 
 
 def test_table_rows_columns():
