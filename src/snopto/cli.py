@@ -21,8 +21,9 @@ problems (argparse keeps its native behavior for unknown flags).
 
 Output location: --outdir, else $SNOPTO_OUTDIR, else the working
 directory. Filenames embed the command and seed, so reruns overwrite
-their own outputs and nothing else. No plotting here; curves are emitted
-as plot-ready CSV.
+their own outputs and nothing else. On spectrum, dynamics and feasibility
+nothing random runs, and the seed is only that run label. No plotting
+here; curves are emitted as plot-ready CSV.
 """
 
 import argparse
@@ -30,6 +31,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -38,9 +40,16 @@ from . import __version__
 from .constants import AMU
 from .detect import HypothesisPair, fit_prediction, outcome_probs, tau_min
 from .errors import BoundedSearchError, ConfigError, DomainError
-from .feasibility import ExperimentConfig, optimize_beta, post_report, pre_report
+from .feasibility import (
+    POST_DESIGN,
+    PRE_DESIGN,
+    ExperimentConfig,
+    optimize_beta,
+    post_report,
+    pre_report,
+)
 from .gaussian_dynamics import GaussianState, evolve_moments
-from .materials import derive, get_material, table_rows
+from .materials import builtin_table, derive, get_material
 from .response import frequency_grid, gamma_squared
 from .spectra import (
     SpectrumParams,
@@ -164,7 +173,10 @@ def load_config(path) -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     if text.lstrip().startswith("{"):
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: malformed JSON: {exc}") from None
         block = data.get("config", data)
         if not isinstance(block, dict):
             raise ConfigError(f"{path}: JSON config block must be an object")
@@ -251,21 +263,11 @@ def _emit_csv(path: Path, command: str, conf: dict, columns: dict) -> None:
 # Each subcommand's options, key -> default, in the order CSV headers list
 # them. The parser is generated from these: every key becomes
 # --key-with-hyphens, a store_true switch for _BOOL_KEYS, and its value is
-# parsed by _convert whether it comes from a flag or a config file.
-_EXPERIMENT_SPEC = {
-    "material": "W",
-    "mass": 0.2,
-    "omega_cm": _TWO_PI * 0.010,
-    "q": 1e4,
-    "t0": 300.0,
-    "i_in": 0.0,
-    "transmissivity": 1e-2,
-    "omega_c": _TWO_PI * 0.2e12,
-}
-
+# parsed by _convert whether it comes from a flag or a config file. The
+# apparatus defaults are the reference design of the planning laws.
 _SPECS = {
     "spectrum": {
-        **_EXPERIMENT_SPEC,
+        **PRE_DESIGN,
         "prescription": "pre",
         "beta": None,
         "wmin": None,
@@ -274,7 +276,7 @@ _SPECS = {
         "seed": 0,
     },
     "dynamics": {
-        **_EXPERIMENT_SPEC,
+        **PRE_DESIGN,
         "t_final": _REQUIRED,
         "dt": None,
         "store_every": 1,
@@ -317,7 +319,7 @@ _SPECS = {
         "jobs": 1,
     },
     "feasibility": {
-        **_EXPERIMENT_SPEC,
+        **PRE_DESIGN,
         "prescription": _REQUIRED,
         "beta": None,
         "sweep": False,
@@ -333,7 +335,7 @@ _ALL_KEYS = {"command", "version"}.union(*_SPECS.values())
 _HELP = {
     "config": "key = value file, or an emitted JSON report",
     "outdir": "output directory (default $SNOPTO_OUTDIR or .)",
-    "seed": "master seed stamped into outputs",
+    "seed": "master seed of the random draws, stamped into outputs",
     "jobs": "Monte Carlo worker count",
     "material": "builtin material name (e.g. W, Os)",
     "mass": "total mass, e.g. '200 g'",
@@ -355,8 +357,14 @@ _HELP = {
 }
 
 
+# commands that draw nothing at random: there --seed is only a run label,
+# naming the output files and stamped into them
+_LABEL_SEED = {"spectrum", "dynamics", "feasibility"}
+_LABEL_SEED_HELP = "run label that names and stamps the outputs (nothing random runs)"
+
+
 def _experiment(conf) -> ExperimentConfig:
-    return ExperimentConfig.build(**{key: conf[key] for key in _EXPERIMENT_SPEC})
+    return ExperimentConfig.build(**{key: conf[key] for key in PRE_DESIGN})
 
 
 # ---------------------------------------------------------------- material
@@ -364,14 +372,13 @@ def _experiment(conf) -> ExperimentConfig:
 def cmd_material(args) -> int:
     """builtin material table"""
     if args.all:
-        names = [row["element"] for row in table_rows()]
+        specs = [spec for spec, _ in builtin_table()]
     elif args.name:
-        names = [args.name]
+        specs = [get_material(args.name)]
     else:
         raise ConfigError("give a material name or --all")
     rows = []
-    for name in names:
-        spec = get_material(name)
+    for spec in specs:
         d = derive(spec)
         rows.append({
             "name": spec.name,
@@ -413,7 +420,7 @@ def cmd_spectrum(args) -> int:
         raise ConfigError("give both --wmin and --wmax, or neither")
     if conf["wmin"] is not None:
         npoints = 2001 if conf["npoints"] is None else conf["npoints"]
-        grid = frequency_grid(conf["wmin"], conf["wmax"], npoints, "log")
+        grid = frequency_grid(conf["wmin"], conf["wmax"], npoints)
     elif conf["npoints"] is not None:
         raise ConfigError("--npoints needs --wmin and --wmax")
     else:
@@ -421,9 +428,9 @@ def cmd_spectrum(args) -> int:
     spectrum = evaluate(prescription, grid, params)
 
     if prescription == "pre":
-        feature = pre_feature(params).as_dict()
+        feature = asdict(pre_feature(params))
     elif prescription == "post":
-        feature = post_feature(params).as_dict()
+        feature = asdict(post_feature(params))
     else:
         feature = None
     out = _outdir(args)
@@ -510,7 +517,7 @@ def cmd_detect(args) -> int:
     )
     out = _outdir(args)
     path = out / f"detect_{conf['truth']}_seed{conf['seed']}.json"
-    _emit_json(path, "detect", conf, report.as_dict())
+    _emit_json(path, "detect", conf, asdict(report))
     print(path)
     return 0
 
@@ -521,13 +528,7 @@ def cmd_taumin(args) -> int:
     """minimum record length search"""
     conf = resolve(args, _SPECS["taumin"])
     fit = fit_prediction(conf["kind"], conf["amp"], conf["gamma"], p=conf["p"])
-    fit_block = {
-        "seconds": fit.seconds,
-        "seconds_unhalved": fit.seconds_unhalved,
-        "coherence_times": fit.coherence_times,
-        "coherence_times_unhalved": fit.coherence_times_unhalved,
-        "warnings": list(fit.warnings),
-    }
+    fit_block = asdict(fit)
     if conf["fit_only"]:
         result = {"fit": fit_block}
     else:
@@ -553,14 +554,12 @@ def cmd_feasibility(args) -> int:
         prescription = load_config(args.config).get("prescription")
     if prescription not in ("pre", "post"):
         raise ConfigError(f"prescription must be pre or post, got {prescription!r}")
-    spec = dict(_SPECS["feasibility"], prescription=prescription)
-    if prescription == "post":
-        spec.update(material="Os", omega_cm=_TWO_PI * 0.004, q=1e7, t0=1.0)
-    conf = resolve(args, spec)
+    design = PRE_DESIGN if prescription == "pre" else POST_DESIGN
+    conf = resolve(args, {**_SPECS["feasibility"], **design, "prescription": prescription})
     exp = _experiment(conf)
     report = (pre_report if prescription == "pre" else post_report)(exp, beta=conf["beta"])
     conf["beta"] = report.beta_used
-    result = report.as_dict()
+    result = asdict(report)
     out = _outdir(args)
     stem = f"feasibility_{prescription}_seed{conf['seed']}"
     if conf["sweep"]:
@@ -605,7 +604,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name, func in commands.items():
         p = subs.add_parser(name, help=func.__doc__)
         for key in ("config", "outdir", *_SPECS[name]):
-            p.add_argument("--" + key.replace("_", "-"), dest=key, help=_HELP.get(key),
+            label = key == "seed" and name in _LABEL_SEED
+            p.add_argument("--" + key.replace("_", "-"), dest=key,
+                           help=_LABEL_SEED_HELP if label else _HELP.get(key),
                            action="store_true" if key in _BOOL_KEYS else "store")
         p.set_defaults(func=func)
     return parser

@@ -39,13 +39,21 @@ on --jobs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from statistics import NormalDist
 
 import numpy as np
 
 from .errors import BoundedSearchError, ConfigError, DomainError
-from .synth import TRIAL_BLOCK, BasebandModel, BasebandSeries, covariance_factor, normals
+from .synth import (
+    TRIAL_BLOCK,
+    BasebandModel,
+    BasebandSeries,
+    _check_resolution,
+    _record_length,
+    covariance_factor,
+    normals,
+)
 
 _CHUNK_TRIALS = 2048  # trials coloured and whitened per batch of short records
 _CHUNK_SAMPLES = 2**22  # samples per batch (32 MB per array) once records are long
@@ -84,17 +92,6 @@ class DecisionReport:
         if abs(total - 1.0) > 1.0 / max(self.n_trials, 1) + 1e-12:
             raise DomainError(f"probabilities sum to {total}, not 1")
 
-    def as_dict(self) -> dict:
-        return {
-            "p_correct": self.p_correct,
-            "p_wrong": self.p_wrong,
-            "p_indecision": self.p_indecision,
-            "y_th": self.y_th,
-            "n_trials": self.n_trials,
-            "master_seed": self.master_seed,
-            "truth_tag": self.truth_tag,
-        }
-
 
 @dataclass(frozen=True)
 class FitPrediction:
@@ -124,16 +121,8 @@ class TauMinResult:
             raise DomainError("tau_min must be > 0")
 
     def as_dict(self) -> dict:
-        return {
-            "tau_min": self.tau_min,
-            "tau_min_halved": self.tau_min_halved,
-            "y_th_used": self.y_th_used,
-            "confidence_p": self.confidence_p,
-            "n_trials": self.n_trials,
-            "fit_prediction": self.fit_prediction,
-            "master_seed": self.master_seed,
-            "n_samples": self.n_samples,
-        }
+        """The report fields: every field but the probe trace."""
+        return {k: v for k, v in asdict(self).items() if k != "probes"}
 
 
 # ---------------------------------------------------------------- likelihoods
@@ -157,11 +146,7 @@ def log_likelihood(series: BasebandSeries, model: BasebandModel) -> float:
     dt = series.dt
     if model.kind == "flat" or model.amplitude == 0.0:
         return _flat_log_likelihood(x, dt)
-    if dt * model.fwhm_gamma > 0.5:
-        raise ConfigError(
-            f"dt * gamma = {dt * model.fwhm_gamma:.3f} > 0.5: the model's feature"
-            " is unresolved at this sampling"
-        )
+    _check_resolution(model, dt)
     factor = covariance_factor(model, x.size, dt)
     u = factor.whiten(x)
     return -0.5 * (x.size * math.log(2 * math.pi) + factor.logdet + float(np.dot(u, u)))
@@ -202,17 +187,6 @@ def estimator_y(series: BasebandSeries, pair: HypothesisPair, method: str = "exa
     else:
         raise ConfigError(f"unknown method {method!r}")
     return ll(series, pair.null_model) - ll(series, pair.alt_model)
-
-
-def decide(y: float, y_th: float) -> str:
-    """Map a statistic to a verdict: "QM", "SN", or "none"."""
-    if y_th < 0:
-        raise ConfigError(f"y_th must be >= 0, got {y_th}")
-    if y > y_th:
-        return "QM"
-    if y < -y_th:
-        return "SN"
-    return "none"
 
 
 # ------------------------------------------------------------ the MC engine
@@ -316,15 +290,12 @@ def _y_table(
         return np.concatenate([f.result() for f in futs], axis=1)
 
 
-def _check_ensemble(truth: BasebandModel, pair: HypothesisPair, n: int, dt: float, n_trials: int):
-    if n < 2:
-        raise ConfigError(f"records of {n} samples at dt {dt}; need >= 2")
+def _check_ensemble(truth: BasebandModel, pair: HypothesisPair, dt: float, n_trials: int):
     if n_trials < 1:
         raise ConfigError("n_trials must be >= 1")
-    if truth.kind != "flat" and dt * truth.fwhm_gamma > 0.5:
-        raise ConfigError("dt too coarse for the truth model's feature")
-    if pair.alt_model.amplitude > 0 and dt * pair.gamma > 0.5:
-        raise ConfigError("dt too coarse for the alternative model's feature")
+    _check_resolution(truth, dt)
+    if pair.alt_model.amplitude > 0:
+        _check_resolution(pair.alt_model, dt)
 
 
 def y_ensemble(
@@ -338,10 +309,8 @@ def y_ensemble(
     jobs: int = 1,
 ) -> np.ndarray:
     """n_trials independent draws of Y under the given truth."""
-    if dt <= 0:
-        raise ConfigError(f"dt must be > 0, got {dt}")
-    n = int(round(duration / dt))
-    _check_ensemble(truth, pair, n, dt, n_trials)
+    n = _record_length(duration, dt)
+    _check_ensemble(truth, pair, dt, n_trials)
     return _y_table(truth, pair.alt_model, [n], dt, n_trials, master_seed, spawn_prefix, jobs)[0]
 
 
@@ -532,6 +501,8 @@ def tau_min(
         raise ConfigError(f"dt_gamma must be in (0, 0.5], got {dt_gamma}")
     if n_trials < 1:
         raise ConfigError("n_trials must be >= 1")
+    if max_samples < 2:
+        raise ConfigError(f"max_samples must be >= 2, got {max_samples}")
     gamma = pair.gamma
     dt = dt_gamma / gamma
     fit = fit_prediction(pair.alt_model.kind, pair.alt_model.amplitude, gamma, p=100 * confidence_p)
@@ -634,7 +605,9 @@ def duration_sweep(
         return []
     if dt <= 0:
         raise ConfigError(f"dt must be > 0, got {dt}")
-    _check_ensemble(pair.alt_model, pair, min(counts), dt, n_trials)
+    if min(counts) < 2:
+        raise ConfigError(f"records of {min(counts)} samples; need >= 2")
+    _check_ensemble(pair.alt_model, pair, dt, n_trials)
     ns = sorted(set(counts))
     y_flat, y_alt = _nested_tables(pair, ns, dt, n_trials, master_seed, jobs)
     rows = []

@@ -36,36 +36,44 @@ from .response import (
     gamma_squared,
     gamma_squared_approx,
 )
-from .spectra import SpectrumParams, beta_limit, post_feature, pre_feature
+from .spectra import SpectrumParams, beta_limit, dip_depth, post_feature, pre_feature
 
 HOUR = 3600.0
 DAY = 86400.0
 
-# Reference design points the power laws are anchored to. The "pre" column
-# is a room-temperature tungsten pendulum read out hard; "post" is a
-# cryogenic osmium one read out softly. Atomic masses enter as the rounded
-# values the anchors were quoted with, not the isotope-averaged ones, so
-# that the anchor evaluation is exact.
+# Reference design points the power laws are anchored to, keyed by the
+# arguments of ExperimentConfig.build; the command line takes its defaults
+# from them too. The "pre" design is a room-temperature tungsten pendulum
+# read out hard; "post" is a cryogenic osmium one read out softly. Atomic
+# masses enter the laws as the rounded values the anchors were quoted with,
+# not the isotope-averaged ones, so that the anchor evaluation is exact.
+PRE_DESIGN = {
+    "material": "W",
+    "mass": 0.2,  # kg
+    "omega_cm": 2.0 * math.pi * 0.010,
+    "q": 1.0e4,
+    "t0": 300.0,
+    "i_in": 0.0,
+    "transmissivity": 1.0e-2,
+    "omega_c": 2.0 * math.pi * 0.2e12,
+}
+POST_DESIGN = {
+    **PRE_DESIGN,
+    "material": "Os",
+    "omega_cm": 2.0 * math.pi * 0.004,
+    "q": 1.0e7,
+    "t0": 1.0,
+}
+
 _PRE_TAU_REF = 1.6 * HOUR
 _PRE_POWER_REF = 0.432
 _PRE_HEIGHT_REF = 8235.0
-_PRE_T0 = 300.0
-_PRE_OMEGA_CM = 2.0 * math.pi * 0.010
 _PRE_M_ATOM = 184.0  # amu
-_PRE_M_TOTAL = 0.2  # kg
-_PRE_Q = 1.0e4
 _PRE_OMEGA_SN = 0.359
 
 _POST_TAU_REF = 13.0 * DAY
 _POST_POWER_REF = 4.8e-9
-_POST_T0 = 1.0
-_POST_OMEGA_CM = 2.0 * math.pi * 0.004
-_POST_M_TOTAL = 0.2
-_POST_Q = 1.0e7
 _POST_OMEGA_SN = 0.488
-
-_OMEGA_C_REF = 2.0 * math.pi * 0.2e12
-_TRANSMISSIVITY_REF = 1.0e-2
 
 
 @dataclass(frozen=True)
@@ -79,14 +87,14 @@ class ExperimentConfig:
     @classmethod
     def build(
         cls,
-        material="W",
-        mass: float = _PRE_M_TOTAL,
-        omega_cm: float = _PRE_OMEGA_CM,
-        q: float = _PRE_Q,
-        t0: float = _PRE_T0,
-        i_in: float = 0.0,
-        transmissivity: float = _TRANSMISSIVITY_REF,
-        omega_c: float = _OMEGA_C_REF,
+        material=PRE_DESIGN["material"],
+        mass: float = PRE_DESIGN["mass"],
+        omega_cm: float = PRE_DESIGN["omega_cm"],
+        q: float = PRE_DESIGN["q"],
+        t0: float = PRE_DESIGN["t0"],
+        i_in: float = PRE_DESIGN["i_in"],
+        transmissivity: float = PRE_DESIGN["transmissivity"],
+        omega_c: float = PRE_DESIGN["omega_c"],
     ) -> "ExperimentConfig":
         """Assemble a config with the trap frequency taken from the material."""
         spec = get_material(material) if isinstance(material, str) else material
@@ -97,16 +105,11 @@ class ExperimentConfig:
 
     @classmethod
     def reference_pre(cls) -> "ExperimentConfig":
-        return cls.build()
+        return cls.build(**PRE_DESIGN)
 
     @classmethod
     def reference_post(cls) -> "ExperimentConfig":
-        return cls.build(
-            material="Os",
-            omega_cm=_POST_OMEGA_CM,
-            q=_POST_Q,
-            t0=_POST_T0,
-        )
+        return cls.build(**POST_DESIGN)
 
 
 @dataclass(frozen=True)
@@ -142,17 +145,6 @@ class FeasibilityReport:
     def all_valid(self) -> bool:
         return all(self.validity_flags.values())
 
-    def as_dict(self) -> dict:
-        return {
-            "prescription": self.prescription,
-            "tau_min_scaled": self.tau_min_scaled,
-            "input_power": self.input_power,
-            "peak_height_or_dip": self.peak_height_or_dip,
-            "beta_used": self.beta_used,
-            "coherence_time": self.coherence_time,
-            "validity_flags": dict(self.validity_flags),
-        }
-
 
 def _quality(osc: OscillatorConfig) -> float:
     if osc.q is not None:
@@ -173,14 +165,14 @@ def _check_scaling_inputs(config: ExperimentConfig):
 def pre_tau_scaled(config: ExperimentConfig) -> float:
     """Minimum measurement time (s) for the peak signature, anchored law."""
     _check_scaling_inputs(config)
-    osc = config.osc
+    osc, ref = config.osc, PRE_DESIGN
     m_atom = config.material.atomic_mass / AMU
     return _PRE_TAU_REF * (
-        (osc.t0 / _PRE_T0) ** 0.73
-        * (osc.omega_cm / _PRE_OMEGA_CM) ** 0.47
+        (osc.t0 / ref["t0"]) ** 0.73
+        * (osc.omega_cm / ref["omega_cm"]) ** 0.47
         * (_PRE_M_ATOM / m_atom) ** 0.49
-        * (_PRE_M_TOTAL / osc.mass) ** 0.73
-        * (_PRE_Q / _quality(osc)) ** 0.47
+        * (ref["mass"] / osc.mass) ** 0.73
+        * (ref["q"] / _quality(osc)) ** 0.47
         * (_PRE_OMEGA_SN / osc.omega_sn) ** 1.96
     )
 
@@ -188,58 +180,58 @@ def pre_tau_scaled(config: ExperimentConfig) -> float:
 def pre_input_power(config: ExperimentConfig) -> float:
     """Input optical power (W) needed to run at a tenth of the strength limit."""
     _check_scaling_inputs(config)
-    osc, opt = config.osc, config.optics
+    osc, opt, ref = config.osc, config.optics, PRE_DESIGN
     m_atom = config.material.atomic_mass / AMU
     return _PRE_POWER_REF * (
-        (_PRE_Q / _quality(osc))
+        (ref["q"] / _quality(osc))
         * (m_atom / _PRE_M_ATOM) ** (2.0 / 3.0)
-        * (osc.mass / _PRE_M_TOTAL) ** 2
-        * (osc.omega_cm / _PRE_OMEGA_CM)
+        * (osc.mass / ref["mass"]) ** 2
+        * (osc.omega_cm / ref["omega_cm"])
         * (osc.omega_sn / _PRE_OMEGA_SN) ** (2.0 / 3.0)
-        * (_OMEGA_C_REF / opt.omega_c)
-        * (opt.transmissivity / _TRANSMISSIVITY_REF) ** 2
+        * (ref["omega_c"] / opt.omega_c)
+        * (opt.transmissivity / ref["transmissivity"]) ** 2
     )
 
 
 def pre_peak_height(config: ExperimentConfig) -> float:
     """Normalized peak height h at a tenth of the strength limit, anchored law."""
     _check_scaling_inputs(config)
-    osc = config.osc
+    osc, ref = config.osc, PRE_DESIGN
     m_atom = config.material.atomic_mass / AMU
     return _PRE_HEIGHT_REF * (
-        (_quality(osc) / _PRE_Q) ** 2
+        (_quality(osc) / ref["q"]) ** 2
         * (m_atom / _PRE_M_ATOM) ** (2.0 / 3.0)
-        * (osc.mass / _PRE_M_TOTAL)
-        * (_PRE_OMEGA_CM / osc.omega_cm) ** 2
+        * (osc.mass / ref["mass"])
+        * (ref["omega_cm"] / osc.omega_cm) ** 2
         * (osc.omega_sn / _PRE_OMEGA_SN) ** (8.0 / 3.0)
-        * (_PRE_T0 / osc.t0)
+        * (ref["t0"] / osc.t0)
     )
 
 
 def post_tau_scaled(config: ExperimentConfig) -> float:
     """Minimum measurement time (s) for the dip signature, anchored law."""
     _check_scaling_inputs(config)
-    osc = config.osc
+    osc, ref = config.osc, POST_DESIGN
     return _POST_TAU_REF * (
-        (_POST_Q / _quality(osc))
-        * (osc.t0 / _POST_T0)
+        (ref["q"] / _quality(osc))
+        * (osc.t0 / ref["t0"])
         * (_POST_OMEGA_SN / osc.omega_sn) ** 3
-        * (osc.omega_cm / _POST_OMEGA_CM)
+        * (osc.omega_cm / ref["omega_cm"])
     )
 
 
 def post_input_power(config: ExperimentConfig) -> float:
     """Input optical power (W) needed to run at the optimal dip strength."""
     _check_scaling_inputs(config)
-    osc, opt = config.osc, config.optics
+    osc, opt, ref = config.osc, config.optics, POST_DESIGN
     return _POST_POWER_REF * (
-        (_quality(osc) / _POST_Q)
-        * (_POST_T0 / osc.t0) ** 2
-        * (osc.mass / _POST_M_TOTAL) ** 2
-        * (_POST_OMEGA_CM / osc.omega_cm)
+        (_quality(osc) / ref["q"])
+        * (ref["t0"] / osc.t0) ** 2
+        * (osc.mass / ref["mass"]) ** 2
+        * (ref["omega_cm"] / osc.omega_cm)
         * (osc.omega_sn / _POST_OMEGA_SN) ** 4
-        * (_OMEGA_C_REF / opt.omega_c)
-        * (opt.transmissivity / _TRANSMISSIVITY_REF) ** 2
+        * (ref["omega_c"] / opt.omega_c)
+        * (opt.transmissivity / ref["transmissivity"]) ** 2
     )
 
 
@@ -265,11 +257,6 @@ def post_beta_opt(gamma_sq: float) -> BetaOpt:
     )
 
 
-def _dip_depth(beta: float, gamma_sq: float) -> float:
-    # normalized depth of the post feature, same closed form as post_feature
-    return beta * (beta + 2.0) / (2.0 * (0.5 + beta * gamma_sq) * (beta + 1.0) ** 2)
-
-
 class BetaSweep(NamedTuple):
     beta_opt: float
     tau_min: float  # s, fit-based, at beta_opt
@@ -283,7 +270,7 @@ def optimize_beta(gamma_sq: float, gamma_m: float, p: float = 10.0, n_grid: int 
     """Numeric sweep of the measurement strength for the dip signature.
 
     Each strength is scored by the fit-based measurement time of a dip of
-    depth _dip_depth(beta, gamma_sq) and width (beta + 1) gamma_m. Four
+    depth dip_depth(beta, gamma_sq) and width (beta + 1) gamma_m. Four
     decades around 1/gamma_sq are scanned on a log grid; the returned
     law_ratio says how far the numeric argmin sits from the 0.31/gamma_sq
     rule of thumb (1.0 means exactly on it).
@@ -298,7 +285,7 @@ def optimize_beta(gamma_sq: float, gamma_m: float, p: float = 10.0, n_grid: int 
     taus = np.empty(n_grid)
     depths = np.empty(n_grid)
     for i, b in enumerate(betas):
-        depths[i] = _dip_depth(b, gamma_sq)
+        depths[i] = dip_depth(b, gamma_sq)
         taus[i] = fit_prediction("dip", depths[i], (b + 1.0) * gamma_m, p=p).seconds
     k = int(np.argmin(taus))
     return BetaSweep(

@@ -86,12 +86,6 @@ class MomentTrajectory:
     var_pp: np.ndarray
     energy: np.ndarray
 
-    def state_at(self, i: int) -> GaussianState:
-        return GaussianState(
-            float(self.mean_x[i]), float(self.mean_p[i]),
-            float(self.var_xx[i]), float(self.cov_xp[i]), float(self.var_pp[i]),
-        )
-
 
 def energy(state: GaussianState, osc: OscillatorConfig, sn_weight: float = 0.5) -> float:
     """Total energy (J); sn_weight = 0.5 is the conserved definition.
@@ -214,11 +208,6 @@ def evolve_moments(
     )
 
 
-def symplectic_invariant(traj: MomentTrajectory) -> np.ndarray:
-    """Vxx Vpp - Cxp^2 along the trajectory (conserved by the exact flow)."""
-    return traj.var_xx * traj.var_pp - traj.cov_xp**2
-
-
 def ellipse_angle(traj: MomentTrajectory, osc: OscillatorConfig) -> np.ndarray:
     """Unwrapped principal-axis angle of the uncertainty ellipse (rad).
 
@@ -271,8 +260,3 @@ def fft_peak_frequency(times: np.ndarray, signal: np.ndarray) -> float:
 def mean_frequency(traj: MomentTrajectory) -> float:
     """Oscillation frequency (rad/s) of the mean position record."""
     return fft_peak_frequency(traj.times, traj.mean_x)
-
-
-def ellipse_frequency_fft(traj: MomentTrajectory) -> float:
-    """Ellipse rotation rate from the var_xx record (oscillates at twice the rate)."""
-    return fft_peak_frequency(traj.times, traj.var_xx) / 2.0

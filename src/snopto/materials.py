@@ -140,19 +140,3 @@ def get_material(name: str) -> MaterialSpec:
             return s
     known = ", ".join(s.name for s in _BUILTIN)
     raise ConfigError(f"unknown material {name!r}; built in: {known}")
-
-
-def table_rows() -> list[dict]:
-    """Table as flat dicts (element, density_kg_m3, B_A2, omega_sn_s1, delta_x_zp_m)."""
-    rows = []
-    for spec, der in builtin_table():
-        rows.append(
-            {
-                "element": spec.name,
-                "density_kg_m3": spec.density,
-                "B_A2": spec.debye_waller_B / _A2,
-                "omega_sn_s1": der.omega_sn,
-                "delta_x_zp_m": der.delta_x_zp,
-            }
-        )
-    return rows

@@ -126,7 +126,7 @@ def s_fcl(omega, osc: OscillatorConfig):
     2 hbar |omega| M gamma_m / (exp(hbar |omega| / k_B t0) - 1), symmetrized
     through |omega| so that it is even like every other double-sided density
     here. At omega = 0 the limit 2 k_B t0 M gamma_m is used; at t0 = 0 it
-    vanishes. See s_fcl_classical for the flat high-temperature form.
+    vanishes. At high temperature it tends to that flat value everywhere.
     """
     omega = np.asarray(omega, dtype=float)
     scalar = omega.ndim == 0
@@ -143,12 +143,6 @@ def s_fcl(omega, osc: OscillatorConfig):
     out[big] = 0.0
     out[mid] = 2.0 * HBAR * w[mid] * osc.mass * osc.gamma_m / np.expm1(arg[mid])
     return out[0] if scalar else out
-
-
-def s_fcl_classical(omega, osc: OscillatorConfig):
-    """High-temperature limit of s_fcl: the flat value 2 k_B t0 M gamma_m."""
-    omega = np.asarray(omega, dtype=float)
-    return np.full_like(omega, 2.0 * K_B * osc.t0 * osc.mass * osc.gamma_m)
 
 
 def s_x_th(omega, osc: OscillatorConfig):
@@ -186,16 +180,10 @@ def gamma_squared_approx(osc: OscillatorConfig) -> float:
     return 2.0 * K_B * osc.t0 * osc.gamma_m**2 / (HBAR * osc.omega_sn**3)
 
 
-def frequency_grid(start: float, stop: float, count: int, spacing: str = "log") -> np.ndarray:
-    """Evaluation grid for CSV emission; spacing is 'log' or 'lin'."""
+def frequency_grid(start: float, stop: float, count: int) -> np.ndarray:
+    """Log-spaced evaluation grid for CSV emission."""
     if count < 2:
         raise ConfigError(f"grid count must be >= 2, got {count}")
-    if spacing == "log":
-        if start <= 0 or stop <= start:
-            raise ConfigError("log grid needs 0 < start < stop")
-        return np.geomspace(start, stop, count)
-    if spacing == "lin":
-        if stop <= start:
-            raise ConfigError("grid needs start < stop")
-        return np.linspace(start, stop, count)
-    raise ConfigError(f"spacing must be 'log' or 'lin', got {spacing!r}")
+    if start <= 0 or stop <= start:
+        raise ConfigError("log grid needs 0 < start < stop")
+    return np.geomspace(start, stop, count)

@@ -115,17 +115,6 @@ class LorentzianFeature:
         if self.fwhm <= 0:
             raise DomainError("fwhm must be > 0")
 
-    def as_dict(self) -> dict:
-        return {
-            "prescription": self.prescription,
-            "kind": self.kind,
-            "center": self.center,
-            "amplitude": self.amplitude,
-            "fwhm": self.fwhm,
-            "baseline": self.baseline,
-            "valid_narrowband": self.valid_narrowband,
-        }
-
 
 @dataclass(frozen=True)
 class OutputSpectrum:
@@ -202,14 +191,19 @@ def pre_feature(params: SpectrumParams) -> LorentzianFeature:
     )
 
 
+def dip_depth(beta: float, gamma_sq: float) -> float:
+    """Normalized depth of the post dip, h_pre / (beta + 1)^2."""
+    return beta * (beta + 2.0) / (2.0 * (0.5 + beta * gamma_sq) * (beta + 1.0) ** 2)
+
+
 def post_feature(params: SpectrumParams) -> LorentzianFeature:
-    """Closed-form dip: depth h_pre / (beta + 1)^2, width (beta + 1) gamma_m."""
+    """Closed-form dip: depth dip_depth(beta, gamma_sq), width (beta + 1) gamma_m."""
     b, g2 = params.beta, params.gamma_sq
     return LorentzianFeature(
         kind="dip",
         prescription="post",
         center=params.omega_q,
-        amplitude=b * (b + 2.0) / (2.0 * (0.5 + b * g2) * (b + 1.0) ** 2),
+        amplitude=dip_depth(b, g2),
         fwhm=(b + 1.0) * params.osc.gamma_m,
         baseline=0.5 + b * g2,
         valid_narrowband=params.well_resolved,
@@ -244,23 +238,32 @@ def beta_limit(params: SpectrumParams, material) -> BetaLimit:
     return BetaLimit(limit=lim, recommended=lim / 10.0)
 
 
-def default_grid(params: SpectrumParams, prescription: str = "pre", n_broad: int = 600, n_fine: int = 801) -> np.ndarray:
+_GRID_BROAD = 600  # log-spaced points over six decades around omega_q
+_GRID_FINE = 801  # linear points across each resonance window
+
+
+def default_grid(params: SpectrumParams, prescription: str = "pre") -> np.ndarray:
     """Log-spaced broad grid with linear refinements around omega_cm and omega_q.
 
     Both features are narrow (widths of order gamma_m, which can be many
     orders below omega_q), so a plain log grid would miss them entirely;
-    each resonance gets a +-20 FWHM linear window.
+    each resonance gets a +-20 FWHM linear window. The pieces are merged
+    into ascending distinct values: np.unique would do, but it imports
+    numpy.ma on first use, so repeats are dropped with a neighbour mask.
     """
     osc = params.osc
     wq = params.omega_q
     fwhm_q = (params.beta + 1.0) * osc.gamma_m if prescription == "post" else osc.gamma_m
-    pieces = [np.geomspace(wq * 1e-3, wq * 1e3, n_broad)]
+    pieces = [np.geomspace(wq * 1e-3, wq * 1e3, _GRID_BROAD)]
     for center, width in ((osc.omega_cm, osc.gamma_m), (wq, fwhm_q)):
         if center > 0 and width > 0:
             lo = max(center - 20.0 * width, center * 1e-6)
-            pieces.append(np.linspace(lo, center + 20.0 * width, n_fine))
-    grid = np.unique(np.concatenate(pieces))
-    return grid[grid > 0]
+            pieces.append(np.linspace(lo, center + 20.0 * width, _GRID_FINE))
+    grid = np.concatenate(pieces)
+    grid.sort()
+    keep = grid > 0
+    keep[1:] &= grid[1:] != grid[:-1]
+    return grid[keep]
 
 
 def measure_feature(omega, values, kind: str):

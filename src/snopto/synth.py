@@ -273,8 +273,14 @@ def covariance_factor(model: BasebandModel, n: int, dt: float) -> CovarianceFact
     return CovarianceFactor(rho=rho, m=m, l=l)
 
 
+def _check_seed(master_seed: int):
+    if master_seed < 0:
+        raise ConfigError(f"master seed must be >= 0, got {master_seed}")
+
+
 def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
     """One-trial generator of a single record; the documented bit-exact rule."""
+    _check_seed(master_seed)
     ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(trial_index,))
     return np.random.default_rng(ss)
 
@@ -287,6 +293,7 @@ def normals(master_seed: int, prefix: tuple, n: int, lo: int, hi: int) -> np.nda
     draws at a time; only a block cut by lo or hi goes through a
     one-row buffer, so no extra block of n rows is ever allocated.
     """
+    _check_seed(master_seed)
     z = np.empty((n, hi - lo))
     for b in range(lo // TRIAL_BLOCK, -(-hi // TRIAL_BLOCK)):
         first = b * TRIAL_BLOCK

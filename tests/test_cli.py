@@ -81,6 +81,13 @@ class TestConfigFile:
         p.write_text(json.dumps({"config": {"amp": 0.62, "kind": "dip"}}))
         assert load_config(p) == {"amp": 0.62, "kind": "dip"}
 
+    def test_malformed_json_exits_two(self, tmp_path, capsys):
+        p = tmp_path / "bad.json"
+        p.write_text("{not json")
+        assert main(["spectrum", "--config", str(p), "--outdir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "malformed JSON" in err and err.count("\n") == 1
+
 
 class TestMaterial:
     def test_single(self, capsys):
@@ -374,6 +381,22 @@ class TestIntegerValues:
     def test_bad_flag_value(self, tmp_path, capsys, flags):
         assert main([*_DETECT_ARGS, *flags, "--outdir", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("error: expected an integer")
+
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--kind", "dip", "--amp", "0.62", "--duration", "14", "--dt", "0.14"],
+        _DETECT_ARGS,
+        ["taumin", "--kind", "peak", "--amp", "30", "--n", "100"],
+    ], ids=["synth", "detect", "taumin"])
+    def test_negative_seed_rejected(self, tmp_path, capsys, argv):
+        assert main([*argv, "--seed", "-1", "--outdir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: master seed must be >= 0, got -1\n"
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("value", ["0", "1"])
+    def test_max_samples_below_two_rejected(self, tmp_path, capsys, value):
+        assert main(["taumin", "--kind", "peak", "--amp", "30", "--n", "100",
+                     "--max-samples", value, "--outdir", str(tmp_path)]) == 2
+        assert "max_samples must be >= 2" in capsys.readouterr().err
 
     def test_whole_float_spelling_accepted(self, tmp_path):
         assert main([*_DETECT_ARGS, "--n", "3e2", "--seed", "12345678901234567891",

@@ -17,7 +17,6 @@ from snopto.detect import (
     TauMinResult,
     _erfcinv,
     _levels,
-    decide,
     duration_sweep,
     estimator_y,
     fit_prediction,
@@ -71,18 +70,25 @@ class TestPairAndDecide:
             HypothesisPair(FLAT, BasebandModel("flat"))
 
     def test_decide_trivials(self):
-        assert decide(3.0, 2.0) == "QM"
-        assert decide(-3.0, 2.0) == "SN"
-        assert decide(1.0, 2.0) == "none"
-        assert decide(-1.5, 2.0) == "none"
+        # Y > y_th is a QM verdict and Y < -y_th an SN verdict, correct under
+        # the flat truth and under the featured truth respectively
+        for truth in (FLAT, DIP):
+            y = y_ensemble(truth, PAIR_DIP, 50.0, 0.14, 300, master_seed=9)
+            rep = outcome_probs(truth, PAIR_DIP, 50.0, 0.14, 1.0, 300, master_seed=9)
+            qm, sn = np.count_nonzero(y > 1.0) / 300, np.count_nonzero(y < -1.0) / 300
+            assert (rep.p_correct, rep.p_wrong) == ((qm, sn) if truth is FLAT else (sn, qm))
+            assert 0 < qm and 0 < sn and qm + sn < 1
 
     def test_boundary_is_indecision(self):
-        assert decide(2.0, 2.0) == "none"
-        assert decide(-2.0, 2.0) == "none"
-
-    def test_negative_threshold_rejected(self):
-        with pytest.raises(ConfigError):
-            decide(1.0, -0.5)
+        # a threshold equal to a realised |Y| leaves that trial undecided,
+        # since |Y| = y_th is neither Y > y_th nor Y < -y_th; just below it,
+        # that one trial is decided
+        for truth in (FLAT, DIP):
+            y_th = float(np.abs(y_ensemble(truth, PAIR_DIP, 50.0, 0.14, 300, master_seed=8)).max())
+            at = outcome_probs(truth, PAIR_DIP, 50.0, 0.14, y_th, 300, master_seed=8)
+            assert at.p_indecision == 1.0
+            below = outcome_probs(truth, PAIR_DIP, 50.0, 0.14, np.nextafter(y_th, 0.0), 300, master_seed=8)
+            assert below.p_indecision == 299 / 300
 
 
 class TestLogLikelihood:
@@ -622,6 +628,11 @@ class TestTauMin:
         made = self._count_seeds(monkeypatch)
         duration_sweep(PAIR_PEAK, [2, 3], 0.14, 0.10, 10000, master_seed=0)
         assert len(made) == 2 * 40
+
+    @pytest.mark.parametrize("max_samples", [1, 0])
+    def test_needs_two_samples(self, max_samples):
+        with pytest.raises(ConfigError, match="max_samples"):
+            tau_min(PAIR_PEAK, 0.10, n_trials=100, master_seed=0, max_samples=max_samples)
 
     def test_validation(self):
         with pytest.raises(ConfigError):

@@ -1,7 +1,7 @@
 """Anchored scaling laws (exact at their reference points) and the strength sweep."""
 
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -152,9 +152,9 @@ class TestBetaOpt:
     def test_dip_depth_at_optimum_in_small_gamma_limit(self):
         # closed-form depth at the rule-of-thumb strength tends to
         # 1/(2 (1/2 + 0.31)) = 0.61728... as gamma_sq -> 0
-        from snopto.feasibility import _dip_depth
+        from snopto.spectra import dip_depth
         for g2 in (1e-4, 1e-6):
-            d = _dip_depth(post_beta_opt(g2).value, g2)
+            d = dip_depth(post_beta_opt(g2).value, g2)
             assert d == pytest.approx(0.6172839506, abs=2e-4)
 
 
@@ -309,7 +309,7 @@ class TestReports:
 
     def test_report_validation_and_dict(self):
         r = post_report(ExperimentConfig.reference_post())
-        d = r.as_dict()
+        d = asdict(r)
         assert d["prescription"] == "post"
         assert d["validity_flags"]["beta_limit"] is True
         with pytest.raises(ConfigError):

@@ -10,12 +10,10 @@ from snopto.errors import ConfigError, DomainError
 from snopto.gaussian_dynamics import (
     GaussianState,
     ellipse_frequency,
-    ellipse_frequency_fft,
     energy,
     evolve_moments,
     fft_peak_frequency,
     mean_frequency,
-    symplectic_invariant,
     _drift_matrix,
     _rk4_step_matrix,
 )
@@ -115,7 +113,7 @@ class TestConservation:
         period = 2 * np.pi / GENERIC.omega_q
         s0 = GaussianState.ground(GENERIC).squeezed(0.5)
         traj = evolve_moments(s0, GENERIC, 100 * period, dt=period / 5000, store_every=50)
-        inv = symplectic_invariant(traj)
+        inv = traj.var_xx * traj.var_pp - traj.cov_xp**2  # Vxx Vpp - Cxp^2
         assert np.abs(inv / inv[0] - 1.0).max() < 1e-9
 
     def test_naive_energy_not_conserved(self):
@@ -176,11 +174,12 @@ class TestFrequencies:
         assert w_ellipse / w_mean > 10
 
     def test_ellipse_frequency_from_variance_record(self):
+        # var_xx oscillates at twice the rotation rate of the ellipse
         period_cm = 2 * np.pi / GENERIC.omega_cm
         period_q = 2 * np.pi / GENERIC.omega_q
         s0 = GaussianState.ground(GENERIC).squeezed(0.4)
         traj = evolve_moments(s0, GENERIC, 100 * period_cm, dt=period_q / 200)
-        assert ellipse_frequency_fft(traj) == pytest.approx(GENERIC.omega_q, rel=1e-3)
+        assert fft_peak_frequency(traj.times, traj.var_xx) / 2.0 == pytest.approx(GENERIC.omega_q, rel=1e-3)
 
     def test_frequencies_agree_without_trap(self):
         # With the trap off there is one frequency; a squeezed displaced
@@ -255,13 +254,6 @@ class TestIntegratorGuards:
         got = np.column_stack([traj.mean_x, traj.mean_p, traj.var_xx, traj.cov_xp, traj.var_pp])
         atol = 8 * n_rec * np.finfo(np.float64).eps * np.abs(ref).max(axis=0)
         assert np.all(np.abs(got - ref) <= atol)
-
-    def test_state_at_roundtrip(self):
-        period = 2 * np.pi / GENERIC.omega_q
-        s0 = GaussianState.ground(GENERIC).squeezed(0.3)
-        traj = evolve_moments(s0, GENERIC, period, dt=period / 500)
-        mid = traj.state_at(traj.times.size // 2)
-        assert isinstance(mid, GaussianState)
 
     def test_fft_helper_needs_samples(self):
         with pytest.raises(ConfigError):

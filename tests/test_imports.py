@@ -2,7 +2,8 @@
 
 The command line imports numpy and the standard library only. numpy loads
 some submodules lazily on first use; any such import inside a run lands in
-the run's own time, so the Monte Carlo commands must add none. A future
+the run's own time, so the Monte Carlo commands and `spectrum` must add
+none. A future
 scipy use belongs inside the function that needs it.
 """
 
@@ -41,6 +42,7 @@ def test_monte_carlo_runs_add_no_numpy_module(tmp_path):
         ["taumin", "--kind", "peak", "--amp", "30", "--n", "200", "--outdir", "taumin"],
         ["detect", "--truth", "flat", "--kind", "dip", "--amp", "0.62", "--duration", "20",
          "--dt", "0.14", "--yth", "1", "--n", "300", "--outdir", "detect"],
+        ["spectrum", "--outdir", "spectrum"],
     ]
     out = _run(
         "import contextlib, io, json, sys\n"
@@ -56,4 +58,4 @@ def test_monte_carlo_runs_add_no_numpy_module(tmp_path):
         "print(json.dumps(added))",
         tmp_path,
     )
-    assert out == {"taumin": [], "detect": []}
+    assert out == {"taumin": [], "detect": [], "spectrum": []}

@@ -57,6 +57,9 @@ def test_builtin_table_shape_and_flag():
     flags = {s.name: s.theoretical for s, _ in table}
     assert flags["Os"] is True
     assert sum(flags.values()) == 1
+    w = next(s for s, _ in table if s.name == "W")
+    assert w.debye_waller_B == pytest.approx(0.0478e-20, rel=1e-9)
+    assert w.density == pytest.approx(19250.0)
 
 
 def test_unknown_material_is_config_error():
@@ -155,11 +158,3 @@ class TestSelfEnergy:
         assert np.shape(got) == np.shape(ref)
         assert np.asarray(got).dtype == np.float64
         np.testing.assert_allclose(got, ref, rtol=1e-15, atol=0)
-
-
-def test_table_rows_columns():
-    rows = mat.table_rows()
-    assert {"element", "density_kg_m3", "B_A2", "omega_sn_s1", "delta_x_zp_m"} <= set(rows[0])
-    w = next(r for r in rows if r["element"] == "W")
-    assert w["B_A2"] == pytest.approx(0.0478, rel=1e-9)
-    assert w["density_kg_m3"] == pytest.approx(19250.0)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -150,7 +151,7 @@ class TestFeatures:
         assert floor == pytest.approx(0.5 / (1 + b) ** 2 + b * g2, rel=1e-12)
 
     def test_feature_dicts(self, narrow_params):
-        d = sp.pre_feature(narrow_params).as_dict()
+        d = asdict(sp.pre_feature(narrow_params))
         assert d["prescription"] == "pre"
         assert d["valid_narrowband"] is True
         assert set(d) == {
@@ -364,6 +365,23 @@ class TestEvaluateAndGrid:
         assert np.all(np.diff(g) > 0)
         near = g[np.abs(g - osc.omega_q) < osc.gamma_m]
         assert near.size >= 10  # fine sampling across the peak
+
+    @pytest.mark.parametrize("omega_sn", [0.359, 0.0], ids=["tungsten", "no-trap"])
+    @pytest.mark.parametrize("prescription", ["qm", "pre", "post"])
+    def test_default_grid_equals_unique_merge(self, prescription, omega_sn):
+        # the neighbour mask keeps exactly np.unique's values; without the
+        # trap omega_q = omega_cm, so the pre windows repeat every point
+        osc = OscillatorConfig(mass=0.2, omega_cm=2 * math.pi * 0.010, omega_sn=omega_sn, q=1e4, t0=300.0)
+        params = sp.SpectrumParams.from_beta(osc, 50.0)
+        osc, wq = params.osc, params.omega_q
+        fwhm_q = (params.beta + 1.0) * osc.gamma_m if prescription == "post" else osc.gamma_m
+        pieces = [np.geomspace(wq * 1e-3, wq * 1e3, 600)]
+        for center, width in ((osc.omega_cm, osc.gamma_m), (wq, fwhm_q)):
+            lo = max(center - 20.0 * width, center * 1e-6)
+            pieces.append(np.linspace(lo, center + 20.0 * width, 801))
+        ref = np.unique(np.concatenate(pieces))
+        got = sp.default_grid(params, "post" if prescription == "post" else "pre")
+        np.testing.assert_array_equal(got, ref[ref > 0])
 
     def test_params_validation(self):
         with pytest.raises(DomainError):
