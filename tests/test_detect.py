@@ -604,6 +604,7 @@ class TestTauMin:
         res = tau_min(pair, 0.10, n_trials=400, master_seed=0)
         oks = [ok for _, ok, _, _ in res.probes]
         assert oks[:2] == [True, False] and len(oks) > 2  # bracket below n0, then bisection
+        assert [n for n, *_ in res.probes] == [6, 3, 4, 5]
         assert len(made) == self.SEEDS_PER_PASS
 
     def test_deeper_bracket_draws_a_second_pass(self, monkeypatch):
@@ -612,6 +613,7 @@ class TestTauMin:
         res = tau_min(pair, 0.40, n_trials=400, master_seed=0)
         oks = [ok for _, ok, _, _ in res.probes]
         assert oks[:3] == [True, True, True] and False in oks  # bracket three octaves down
+        assert [n for n, *_ in res.probes] == [57, 28, 14, 7, 10, 12, 11]
         assert len(made) == 2 * self.SEEDS_PER_PASS
 
     def test_doubling_pass_records_its_bisection_tree(self, monkeypatch):
@@ -621,6 +623,7 @@ class TestTauMin:
         res = tau_min(pair, 0.10, n_trials=400, master_seed=1)
         oks = [ok for _, ok, _, _ in res.probes]
         assert oks[:2] == [False, True] and len(oks) > 2  # one doubling, then bisection
+        assert [n for n, *_ in res.probes] == [72, 144, 108, 90, 81, 85, 87]
         assert len(made) == 2 * self.SEEDS_PER_PASS
 
     def test_one_stream_per_block_of_trials(self, monkeypatch):
