@@ -549,13 +549,14 @@ def cmd_taumin(args) -> int:
 
 def cmd_feasibility(args) -> int:
     """planning report from the anchored laws"""
-    prescription = getattr(args, "prescription", None)
-    if prescription is None and getattr(args, "config", None):
-        prescription = load_config(args.config).get("prescription")
+    # the prescription and the design keys resolve to None when unset; the
+    # prescription then picks the design defaults
+    conf = resolve(args, {**_SPECS["feasibility"], **dict.fromkeys([*PRE_DESIGN, "prescription"])})
+    prescription = conf["prescription"]
     if prescription not in ("pre", "post"):
         raise ConfigError(f"prescription must be pre or post, got {prescription!r}")
     design = PRE_DESIGN if prescription == "pre" else POST_DESIGN
-    conf = resolve(args, {**_SPECS["feasibility"], **design, "prescription": prescription})
+    conf.update((k, v) for k, v in design.items() if conf[k] is None)
     exp = _experiment(conf)
     report = (pre_report if prescription == "pre" else post_report)(exp, beta=conf["beta"])
     conf["beta"] = report.beta_used
@@ -564,12 +565,7 @@ def cmd_feasibility(args) -> int:
     stem = f"feasibility_{prescription}_seed{conf['seed']}"
     if conf["sweep"]:
         sweep = optimize_beta(gamma_squared(exp.osc), exp.osc.gamma_m, p=conf["p"], n_grid=conf["n_grid"])
-        result["sweep"] = {
-            "beta_opt": sweep.beta_opt,
-            "tau_min": sweep.tau_min,
-            "depth_at_opt": sweep.depth_at_opt,
-            "law_ratio": sweep.law_ratio,
-        }
+        result["sweep"] = {k: v for k, v in sweep._asdict().items() if k not in ("betas", "taus")}
         _emit_csv(out / f"{stem}_sweep.csv", "feasibility", conf, {"beta": sweep.betas, "tau_min": sweep.taus})
         print(out / f"{stem}_sweep.csv")
     _emit_json(out / f"{stem}.json", "feasibility", conf, result)

@@ -33,7 +33,8 @@ the key: records are nested, the record of n samples being the first n
 samples of the trial's longer record, so one pass over time scores every
 duration up to its length and every duration sees the same noise. Chunks
 and worker ranges are cut at block boundaries, so results do not depend
-on --jobs.
+on --jobs. The duration search keeps one such pass at a time, as a
+mapping from each recorded length to its (flat, alt) rows of Y.
 """
 
 from __future__ import annotations
@@ -305,23 +306,32 @@ def y_ensemble(
     dt: float,
     n_trials: int,
     master_seed: int,
-    spawn_prefix: tuple = (),
     jobs: int = 1,
 ) -> np.ndarray:
     """n_trials independent draws of Y under the given truth."""
     n = _record_length(duration, dt)
     _check_ensemble(truth, pair, dt, n_trials)
-    return _y_table(truth, pair.alt_model, [n], dt, n_trials, master_seed, spawn_prefix, jobs)[0]
+    return _y_table(truth, pair.alt_model, [n], dt, n_trials, master_seed, (), jobs)[0]
 
 
-def _nested_tables(
-    pair: HypothesisPair, ns: list, dt: float, n_trials: int, master_seed: int, jobs: int
-):
-    """Y under the flat and the alt truth at every length in ns, one nested pass each."""
-    return tuple(
+def _nested_rows(
+    pair: HypothesisPair, ns, dt: float, n_trials: int, master_seed: int, jobs: int
+) -> dict:
+    """{n: (flat Y, alt Y)} for every n in ns: views of one nested pass per truth."""
+    ns = sorted(set(ns))
+    flat, alt = (
         _y_table(t, pair.alt_model, ns, dt, n_trials, master_seed, (j,), jobs)
         for j, t in enumerate((pair.null_model, pair.alt_model))
     )
+    return {n: (flat[k], alt[k]) for k, n in enumerate(ns)}
+
+
+def _verdict_rates(y: np.ndarray, y_th: float) -> tuple:
+    """The decision rule: fractions of y that say QM (Y > y_th), SN (Y < -y_th), none."""
+    n = y.size
+    n_qm = int(np.count_nonzero(y > y_th))
+    n_sn = int(np.count_nonzero(y < -y_th))
+    return n_qm / n, n_sn / n, (n - n_qm - n_sn) / n
 
 
 def outcome_probs(
@@ -338,17 +348,12 @@ def outcome_probs(
     if y_th < 0:
         raise ConfigError(f"y_th must be >= 0, got {y_th}")
     y = y_ensemble(truth, pair, duration, dt, n_trials, master_seed, jobs=jobs)
-    n_qm = int(np.count_nonzero(y > y_th))
-    n_sn = int(np.count_nonzero(y < -y_th))
-    n_none = n_trials - n_qm - n_sn
-    if truth.kind == "flat":
-        n_correct, n_wrong = n_qm, n_sn
-    else:
-        n_correct, n_wrong = n_sn, n_qm
+    p_qm, p_sn, p_none = _verdict_rates(y, y_th)
+    p_correct, p_wrong = (p_qm, p_sn) if truth.kind == "flat" else (p_sn, p_qm)
     return DecisionReport(
-        p_correct=n_correct / n_trials,
-        p_wrong=n_wrong / n_trials,
-        p_indecision=n_none / n_trials,
+        p_correct=p_correct,
+        p_wrong=p_wrong,
+        p_indecision=p_none,
         y_th=y_th,
         n_trials=n_trials,
         master_seed=master_seed,
@@ -377,7 +382,8 @@ def threshold_search(y_flat: np.ndarray, y_alt: np.ndarray, confidence_p: float)
 
     Sweeps every level at which any verdict count can change (the merged
     absolute values of both ensembles, plus zero) and evaluates the four
-    failure rates: wrong and undecided under each truth. Returns
+    failure rates of _verdict_rates there: wrong and undecided under each
+    truth. Returns
     (feasible, y_th, worst) where worst is the largest of the four at the
     chosen threshold; the threshold minimizes worst, with ties broken
     toward the larger (more cautious) value. Feasible means worst <= p.
@@ -458,9 +464,14 @@ def fit_prediction(kind: str, amplitude: float, gamma: float, p: float = 10.0) -
     )
 
 
+def _unresolved(lo: int, hi: int) -> bool:
+    """Whether the bracket lo < hi is still wider than 5% of hi, or one sample."""
+    return hi - lo > max(1, int(0.05 * hi))
+
+
 def _bisection_tree(lo: int, hi: int) -> list:
     """Every length the bisection between infeasible lo and feasible hi can probe."""
-    if hi - lo <= max(1, int(0.05 * hi)):
+    if not _unresolved(lo, hi):
         return []
     mid = (lo + hi) // 2
     return [mid] + _bisection_tree(lo, mid) + _bisection_tree(mid, hi)
@@ -485,13 +496,15 @@ def tau_min(
     The reported tau_min is the single-record (one quadrature) duration;
     the halved field is the two-quadrature convention the figure fits use.
 
-    Probes read Y from a table of nested records: one pass per truth
-    draws every trial to the longest length it records and scores all of
-    them. The first pass runs to the fit estimate and records the halving
-    chain below it plus the bisection tree of the first octave. Each
-    doubling runs to the new upper end and records that bracket's tree
-    with it. A bracket found lower down costs one more pass over its tree.
-    Only the latest pass is held, 16 bytes per trial per recorded length.
+    Probes read Y from one pass cache: a mapping from each length of the
+    latest nested pass to its (flat, alt) rows. One pass per truth draws
+    every trial to the longest length it records and scores all of them.
+    The first pass runs to the fit estimate and records the halving chain
+    below it plus the bisection tree of the first octave. Each doubling
+    runs to the new upper end and records that bracket's tree with it. A
+    bracket found lower down costs one more pass over its tree. A probe
+    the cache lacks releases it before drawing the next pass, so one pass
+    is held at a time, 16 bytes per trial per recorded length.
     """
     if pair.alt_model.amplitude <= 0:
         raise DomainError("tau_min needs a nonzero alternative amplitude")
@@ -508,82 +521,66 @@ def tau_min(
     fit = fit_prediction(pair.alt_model.kind, pair.alt_model.amplitude, gamma, p=100 * confidence_p)
 
     probe = {}
-    table = {}  # length -> its row in the latest pass
-    tables = []  # that pass's (flat, alt) Y blocks
+    rows = {}  # the pass cache
 
-    def feasible(n: int, record=()):
-        if n not in table:
-            ns = sorted({n, *record})
-            tables.clear()  # release the previous pass before drawing the next
-            tables.extend(_nested_tables(pair, ns, dt, n_trials, master_seed, jobs))
-            table.clear()
-            table.update((m, k) for k, m in enumerate(ns))
-        k = table[n]
-        probe[n] = threshold_search(tables[0][k], tables[1][k], confidence_p)
-        return probe[n]
+    def feasible(n: int, record=()) -> bool:
+        if n not in rows:
+            rows.clear()  # release the previous pass before drawing the next
+            rows.update(_nested_rows(pair, [n, *record], dt, n_trials, master_seed, jobs))
+        probe[n] = threshold_search(*rows[n], confidence_p)
+        return probe[n][0]
 
-    def result(n: int) -> TauMinResult:
-        return TauMinResult(
-            tau_min=n * dt,
-            tau_min_halved=n * dt / 2.0,
-            y_th_used=probe[n][1],
-            confidence_p=confidence_p,
-            n_trials=n_trials,
-            fit_prediction=fit.seconds,
-            master_seed=master_seed,
-            n_samples=n,
-            probes=tuple((m, *v) for m, v in probe.items()),
-        )
-
-    n0 = max(2, int(round(fit.seconds_unhalved / dt)))
-    n0 = min(n0, max_samples)
+    n0 = min(max(2, int(round(fit.seconds_unhalved / dt))), max_samples)
     chain = [n0]
     while chain[-1] > 2:
         chain.append(max(2, chain[-1] // 2))
 
+    # lo infeasible, hi feasible: the bracket, then the bisection interval;
+    # one sample scores nothing, so lo starts below the two-sample floor
+    lo, hi = 1, n0
     # the first pass also records the bisection tree of the octave below
     # n0, where the bracket lands whenever the fit is within a factor two
     first_octave = _bisection_tree(chain[1], n0) if n0 > 2 else []
-    if feasible(n0, chain + first_octave)[0]:
-        hi_feasible = n0
-        lo_infeasible = None
-        for lo in chain[1:]:
-            if feasible(lo)[0]:
-                hi_feasible = lo
-            else:
-                lo_infeasible = lo
+    if feasible(n0, chain + first_octave):
+        for m in chain[1:]:
+            if not feasible(m):
+                lo = m
                 break
-        if lo_infeasible is None:
-            # feasible all the way down to the two-sample floor
-            return result(hi_feasible)
+            hi = m
     else:
-        lo_infeasible = n0
-        hi = n0
         while True:
-            hi = hi * 2
+            lo, hi = hi, 2 * hi
             if hi > max_samples:
                 raise BoundedSearchError(
                     f"no duration up to {max_samples} samples reaches "
                     f"confidence {confidence_p}",
                     diagnostics={
                         "max_samples": max_samples,
-                        "last_infeasible": lo_infeasible,
+                        "last_infeasible": lo,
                         "probes": {k: v[2] for k, v in probe.items()},
                     },
                 )
-            if feasible(hi, _bisection_tree(lo_infeasible, hi))[0]:
+            if feasible(hi, _bisection_tree(lo, hi)):
                 break
-            lo_infeasible = hi
-        hi_feasible = hi
 
-    tree = _bisection_tree(lo_infeasible, hi_feasible)
-    while hi_feasible - lo_infeasible > max(1, int(0.05 * hi_feasible)):
-        mid = (hi_feasible + lo_infeasible) // 2
-        if feasible(mid, tree)[0]:
-            hi_feasible = mid
+    tree = _bisection_tree(lo, hi)
+    while _unresolved(lo, hi):
+        mid = (lo + hi) // 2
+        if feasible(mid, tree):
+            hi = mid
         else:
-            lo_infeasible = mid
-    return result(hi_feasible)
+            lo = mid
+    return TauMinResult(
+        tau_min=hi * dt,
+        tau_min_halved=hi * dt / 2.0,
+        y_th_used=probe[hi][1],
+        confidence_p=confidence_p,
+        n_trials=n_trials,
+        fit_prediction=fit.seconds,
+        master_seed=master_seed,
+        n_samples=hi,
+        probes=tuple((m, *v) for m, v in probe.items()),
+    )
 
 
 def duration_sweep(
@@ -608,13 +605,13 @@ def duration_sweep(
     if min(counts) < 2:
         raise ConfigError(f"records of {min(counts)} samples; need >= 2")
     _check_ensemble(pair.alt_model, pair, dt, n_trials)
-    ns = sorted(set(counts))
-    y_flat, y_alt = _nested_tables(pair, ns, dt, n_trials, master_seed, jobs)
+    ys = _nested_rows(pair, counts, dt, n_trials, master_seed, jobs)
     rows = []
     for n in counts:
-        yf = y_flat[ns.index(n)]
-        ya = y_alt[ns.index(n)]
+        yf, ya = ys[n]
         ok, y_th, worst = threshold_search(yf, ya, confidence_p)
+        _, wrong_flat, none_flat = _verdict_rates(yf, y_th)
+        wrong_alt, _, none_alt = _verdict_rates(ya, y_th)
         rows.append(
             {
                 "n_samples": n,
@@ -622,10 +619,10 @@ def duration_sweep(
                 "feasible": ok,
                 "y_th": y_th,
                 "worst": worst,
-                "p_wrong_flat": float(np.mean(yf < -y_th)),
-                "p_indecision_flat": float(np.mean(np.abs(yf) <= y_th)),
-                "p_wrong_alt": float(np.mean(ya > y_th)),
-                "p_indecision_alt": float(np.mean(np.abs(ya) <= y_th)),
+                "p_wrong_flat": wrong_flat,
+                "p_indecision_flat": none_flat,
+                "p_wrong_alt": wrong_alt,
+                "p_indecision_alt": none_alt,
             }
         )
     return rows

@@ -9,8 +9,9 @@ class DomainError(ValueError):
     """A physical quantity is outside its valid domain.
 
     Examples: non-positive Debye-Waller factor, a requested dip spectrum
-    that is not positive definite, a covariance matrix that fails its
-    Cholesky/Levinson factorization.
+    that is not positive definite, a covariance the scalar pass of
+    synth.covariance_factor cannot factor ("covariance is not positive
+    definite").
     """
 
 

@@ -56,9 +56,9 @@ class GaussianState:
             )
 
     @classmethod
-    def ground(cls, osc: OscillatorConfig, at: float | None = None) -> "GaussianState":
-        """Vacuum of the oscillator at frequency `at` (default omega_q)."""
-        w = osc.omega_q if at is None else at
+    def ground(cls, osc: OscillatorConfig) -> "GaussianState":
+        """Vacuum of the oscillator at omega_q."""
+        w = osc.omega_q
         if w <= 0:
             raise DomainError("ground state needs a positive frequency")
         return cls(0.0, 0.0, HBAR / (2 * osc.mass * w), 0.0, HBAR * osc.mass * w / 2)

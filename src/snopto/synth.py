@@ -132,10 +132,6 @@ class BasebandSeries:
         return self.samples.size
 
     @property
-    def duration(self) -> float:
-        return self.n * self.dt
-
-    @property
     def times(self) -> np.ndarray:
         return np.arange(self.n) * self.dt
 
@@ -151,10 +147,6 @@ class ComplexBaseband:
 
     def __post_init__(self):
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=complex))
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(self.samples.size) * self.dt
 
 
 @dataclass(frozen=True)

@@ -282,7 +282,7 @@ class TestEngine:
         one = detect._y_table(PEAK, DIP, ns, dt, 4099, 8, (0,), 1)
         two = detect._y_table(PEAK, DIP, ns, dt, 4099, 8, (0,), 2)
         assert np.array_equal(one, two)
-        short = y_ensemble(PEAK, PAIR_DIP, 20 * dt, dt, 300, master_seed=8, spawn_prefix=(0,))
+        short = detect._y_table(PEAK, DIP, [20], dt, 300, 8, (0,), 1)[0]
         assert np.array_equal(one[1, :300], short)
 
     @pytest.mark.parametrize("truth,pair", [(FLAT, PAIR_DIP), (DIP, PAIR_DIP), (PEAK, PAIR_DIP),
@@ -294,7 +294,7 @@ class TestEngine:
         table = detect._y_table(truth, pair.alt_model, ns, dt, 37, 4, (1,), 1)
         assert table.shape == (len(ns), 37)
         for row, n in zip(table, ns):
-            short = y_ensemble(truth, pair, n * dt, dt, 37, master_seed=4, spawn_prefix=(1,))
+            short = detect._y_table(truth, pair.alt_model, [n], dt, 37, 4, (1,), 1)[0]
             assert np.array_equal(row, short)
 
     def test_sign_of_ensemble_means(self):
@@ -329,7 +329,7 @@ class TestEngine:
         dt = 0.14
         meds = []
         for n in (179, 357, 714, 1429, 2857):
-            ya = y_ensemble(DIP, PAIR_DIP, n * dt, dt, 1000, master_seed=30, spawn_prefix=(n,))
+            ya = detect._y_table(DIP, DIP, [n], dt, 1000, 30, (n,), 1)[0]
             meds.append(np.median(np.abs(ya)))
         assert all(b >= a for a, b in zip(meds, meds[1:]))
 
@@ -427,17 +427,20 @@ class TestThresholdSearch:
         with pytest.raises(ConfigError):
             threshold_search(np.zeros(4), np.zeros(4), 0.0)
 
-    @pytest.mark.parametrize(
+    level_cases = pytest.mark.parametrize(
         "yf, ya",
         [
             ([1.0, -1.0, 2.0, -2.0, 0.0], [-1.0, 1.0, 0.0, 0.0, 3.0]),
             ([0.0, 0.0, -0.0], [0.0, -0.0]),
             ([5.0], [-5.0]),
+            ([-1.0, 2.0, 3.0], [-2.0, -3.0, 1.0]),  # levels 0 and 1 tie at worst 1/3
             (np.round(np.random.default_rng(1).standard_normal(500), 1),
              np.round(np.random.default_rng(2).standard_normal(300) * 2, 1)),
         ],
-        ids=["ties", "zeros", "single", "rounded-normals"],
+        ids=["ties", "zeros", "single", "tied-minimum", "rounded-normals"],
     )
+
+    @level_cases
     def test_levels_match_unique(self, yf, ya):
         # the candidate levels: zero and the distinct |Y| of both ensembles
         af = np.sort(np.abs(np.asarray(yf)))
@@ -447,6 +450,22 @@ class TestThresholdSearch:
         assert got.dtype == ref.dtype
         np.testing.assert_array_equal(got, ref)
         assert not np.signbit(got).any()
+
+    @level_cases
+    def test_search_matches_brute_force(self, yf, ya):
+        # every level scored one at a time by the decision rule: the search
+        # returns the least worst rate and the largest level that reaches it
+        yf, ya = np.asarray(yf, dtype=float), np.asarray(ya, dtype=float)
+        levels = np.unique(np.concatenate([np.abs(yf), np.abs(ya), [0.0]]))
+        worst = []
+        for level in levels:
+            _, wrong_flat, none_flat = detect._verdict_rates(yf, level)
+            wrong_alt, _, none_alt = detect._verdict_rates(ya, level)
+            worst.append(max(wrong_flat, none_flat, wrong_alt, none_alt))
+        ok, y_th, got = threshold_search(yf, ya, 0.3)
+        assert got == min(worst)
+        assert y_th == max(v for v, w in zip(levels, worst) if w == got)
+        assert ok == (got <= 0.3)
 
 
 class TestFitPrediction:

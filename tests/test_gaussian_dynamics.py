@@ -185,7 +185,9 @@ class TestFrequencies:
         # With the trap off there is one frequency; a squeezed displaced
         # state must show it in both the mean and the ellipse to 0.01%.
         period = 2 * np.pi / BARE.omega_cm
-        s0 = GaussianState.ground(BARE, at=BARE.omega_cm).squeezed(0.5).displaced(dx=1e-15)
+        w = BARE.omega_cm  # the vacuum at the pendulum frequency
+        vacuum = GaussianState(0.0, 0.0, HBAR / (2 * BARE.mass * w), 0.0, HBAR * BARE.mass * w / 2)
+        s0 = vacuum.squeezed(0.5).displaced(dx=1e-15)
         traj = evolve_moments(s0, BARE, 300 * period, dt=period / 200)
         w_mean = mean_frequency(traj)
         w_ellipse = ellipse_frequency(traj, BARE)
