@@ -18,10 +18,12 @@ Likelihoods are exact multivariate-normal densities with Toeplitz
 covariance. Both the per-series path and the Monte Carlo engine score
 through synth.CovarianceFactor, the O(N) exact Cholesky factor of the
 Lorentzian-on-white law: whitening a record gives its quadratic form, the
-factor's gains give the log-determinant, and the engine colours and
-whitens whole batches of trials in one pass over time. No N x N matrix is
-formed. The Whittle (periodogram) approximation is kept as the
-approximation criterion 7 tests, cross-checked against the exact form.
+factor's gains give the log-determinant, and the engine streams chunks
+of trials through time in short tiles, drawing, colouring, whitening and
+summing each tile in one pass, so its working memory does not depend on
+the record length. No N x N matrix is formed. The Whittle (periodogram)
+approximation is kept as the approximation criterion 7 tests,
+cross-checked against the exact form.
 
 Everything random is reproducible (synth.SEED_CONTRACT, version 3):
 trials are drawn in blocks of synth.TRIAL_BLOCK = 256, block b from one
@@ -51,13 +53,13 @@ from .synth import (
     BasebandModel,
     BasebandSeries,
     _check_resolution,
+    _columns,
     _record_length,
+    _tiles,
     covariance_factor,
-    normals,
 )
 
-_CHUNK_TRIALS = 2048  # trials coloured and whitened per batch of short records
-_CHUNK_SAMPLES = 2**22  # samples per batch (32 MB per array) once records are long
+_CHUNK_TRIALS = 8 * TRIAL_BLOCK  # trials per chunk: 8 blocks, 256 kB per tile array
 
 
 @dataclass(frozen=True)
@@ -193,12 +195,6 @@ def estimator_y(series: BasebandSeries, pair: HypothesisPair, method: str = "exa
 # ------------------------------------------------------------ the MC engine
 
 
-def _chunk_trials(n: int) -> int:
-    """Trials per batch for records of n samples, whole blocks of TRIAL_BLOCK."""
-    blocks = min(_CHUNK_TRIALS, _CHUNK_SAMPLES // n) // TRIAL_BLOCK
-    return TRIAL_BLOCK * max(1, blocks)
-
-
 def _y_batch(
     truth: BasebandModel,
     alt: BasebandModel,
@@ -212,19 +208,23 @@ def _y_batch(
     """Y at every record length in ns (ascending) for trials lo..hi-1.
 
     Returns a (len(ns), hi - lo) block from one pass over time. Trial i
-    takes max(ns) standard normals from its column of synth.normals. The
-    factor is causal and the first n gains of a longer factor are the
-    length-n factor, so the record of n samples is the first n samples of
-    the long one. Sample k adds half of (2 log m_k + log dt) + u_k^2 -
-    dt x_k^2 to Y: the log-determinant difference and the two quadratic
-    forms. A running sum along time then gives Y at every prefix; it runs
-    sequentially per trial, so no value depends on how many trials share
-    a chunk or a worker.
+    takes max(ns) standard normals from its column of the seed-contract
+    stream. The factor is causal and the first n gains of a longer factor
+    are the length-n factor, so the record of n samples is the first n
+    samples of the long one. Sample k adds half of (2 log m_k + log dt) +
+    u_k^2 - dt x_k^2 to Y: the log-determinant difference and the two
+    quadratic forms. A running sum along time then gives Y at every
+    prefix; it runs sequentially per trial, so no value depends on how
+    many trials share a chunk or a worker.
 
-    Each chunk of trials is coloured with the truth's factor and whitened
-    with the alt's. When the truth is the alt law the whitened vector is
-    the draw itself, so only colouring runs; a flat truth is white noise,
-    so only whitening runs.
+    Each chunk of _CHUNK_TRIALS trials advances through time in the tiles
+    of synth._tiles: each tile is drawn, coloured with the truth's factor,
+    whitened with the alt's and added to the running sum, with the last
+    rows of z, x, u and the sum carried across the tile edge; only the
+    rows that ns records are copied out. When the truth is the alt law
+    the whitened vector is the draw itself, so only colouring runs; a
+    flat truth is white noise, so only whitening runs. Besides the result,
+    only the factors' one-dimensional arrays grow with the record length.
     """
     n = ns[-1]
     rows = np.asarray(ns) - 1
@@ -239,25 +239,34 @@ def _y_batch(
 
     out = np.empty((len(ns), hi - lo))
     sqrt_dt = math.sqrt(dt)
-    step = _chunk_trials(n)
-    for start in range(lo, hi, step):
-        stop = min(start + step, hi)
-        z = normals(master_seed, spawn_prefix, n, start, stop)
-        if f_truth is f_alt:
-            u, x = z, f_alt.colour(z)
-        else:
-            x = z / sqrt_dt if f_truth is None else f_truth.colour(z)
-            del z
-            u = f_alt.whiten(x)
-        u *= u
-        x *= x
-        x *= dt
-        u -= x
-        del x
-        for k in range(1, n):  # row by row: np.cumsum along axis 0 is 8x slower
-            u[k] += u[k - 1]
-        out[:, start - lo : stop - lo] = u[rows]
-        del u  # at most three (n, chunk) arrays are live at once
+    for start in range(lo, hi, _CHUNK_TRIALS):
+        stop = min(start + _CHUNK_TRIALS, hi)
+        cols = slice(start - lo, stop - lo)
+        j = 0  # next row of ns to record
+        carry_x = carry_u = carry_y = None  # rows carried from the previous tile
+        for k, z in _tiles(master_seed, spawn_prefix, n, start, stop):
+            if f_truth is None:
+                x = z / sqrt_dt
+            else:
+                x = f_truth.colour(z, k, carry_x)
+                carry_x = z[-1].copy(), x[-1].copy()
+            if f_truth is f_alt:
+                u = z
+            else:
+                u = f_alt.whiten(x, k, carry_u)
+                carry_u = x[-1].copy(), u[-1].copy()
+            u *= u
+            x *= x
+            x *= dt
+            u -= x
+            if carry_y is not None:
+                u[0] += carry_y
+            for r in range(1, u.shape[0]):  # row by row: np.cumsum along axis 0 is 5x slower
+                u[r] += u[r - 1]
+            carry_y = u[-1].copy()
+            while j < len(ns) and rows[j] < k + u.shape[0]:
+                out[j, cols] = _columns(u[rows[j] - k], start, stop)
+                j += 1
     out += lndet[:, None]
     out *= 0.5
     return out
@@ -279,7 +288,7 @@ def _y_table(
     two workers.
     """
     args = (truth, alt, ns, dt, master_seed, spawn_prefix)
-    if jobs <= 1 or n_trials < 2 * _chunk_trials(ns[-1]):
+    if jobs <= 1 or n_trials < 2 * _CHUNK_TRIALS:
         return _y_batch(*args, 0, n_trials)
     n_blocks = -(-n_trials // TRIAL_BLOCK)
     bounds = np.minimum(np.linspace(0, n_blocks, jobs + 1).astype(int) * TRIAL_BLOCK, n_trials)

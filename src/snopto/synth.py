@@ -43,7 +43,10 @@ spawn_key=p + (b,))), filled time-major: its first n draws of 256 are the
 first standard normals of those 256 trials, so trial i is column i % 256 of
 block i // 256 and its record is the exact factor applied to that column.
 A partial last block still draws its full width, so no trial depends on
-how many trials run, or how they are split into chunks or workers.
+how many trials run, or how they are split into chunks or workers. The
+rule is implemented once, in _tiles, which draws it in short time tiles;
+normals and the Monte Carlo engine both read it there, and the tile
+length changes no draw.
 gen_ensemble uses the prefix (); the duration search of the detect module
 keys truth t (0 flat, 1 featured) by the prefix (t,) and uses nested
 records: its record of n samples is the first n samples of a longer one,
@@ -71,6 +74,7 @@ from .errors import ConfigError, DomainError
 KINDS = ("flat", "peak", "dip")
 TRIAL_BLOCK = 256  # trials per random stream (seed contract 3)
 SEED_CONTRACT = 3  # version of the seed-derivation rule in the module docstring
+_TILE_ROWS = 16  # rows per time tile of _tiles: 32 kB per block
 
 
 @dataclass(frozen=True)
@@ -199,9 +203,9 @@ class CovarianceFactor:
 
     L = A^-1 M, where A is the AR step (unit diagonal, -rho below it) and
     M is the lower bidiagonal Cholesky factor of Cov(A x), with diagonal m
-    and subdiagonal l (l[0] is unused). Arrays of shape (n,) or (n, trials)
-    are transformed along their first axis, so a batch of records runs
-    each recursion once over time.
+    and subdiagonal l (l[0] is unused). Arrays of shape (n,), (n, trials)
+    or (n, blocks, TRIAL_BLOCK) are transformed along their first axis, so
+    a batch of records runs each recursion once over time.
     """
 
     rho: float
@@ -216,23 +220,42 @@ class CovarianceFactor:
     def _column(self, v: np.ndarray, ndim: int) -> np.ndarray:
         return v.reshape((-1,) + (1,) * (ndim - 1))
 
-    def colour(self, z: np.ndarray) -> np.ndarray:
-        """L z: a record of the law from standard normals z."""
-        x = z * self._column(self.m, z.ndim)
-        x[1:] += self._column(self.l[1:], z.ndim) * z[:-1]
+    def colour(self, z: np.ndarray, k: int = 0, carry: tuple | None = None) -> np.ndarray:
+        """L z: a record of the law from standard normals z.
+
+        z may instead hold rows k, k + 1, ... of longer records, with carry
+        their rows k - 1 of z and of the result, (z_{k-1}, x_{k-1}).
+        """
+        l = self.l[k : k + z.shape[0]]
+        x = z * self._column(self.m[k : k + z.shape[0]], z.ndim)
+        x[1:] += self._column(l[1:], z.ndim) * z[:-1]
         rho = self.rho
-        for k in range(1, x.shape[0]):
-            x[k] += rho * x[k - 1]
+        if carry is not None:
+            z_prev, x_prev = carry
+            x[0] += l[0] * z_prev
+            x[0] += rho * x_prev
+        for j in range(1, x.shape[0]):
+            x[j] += rho * x[j - 1]
         return x
 
-    def whiten(self, x: np.ndarray) -> np.ndarray:
-        """L^-1 x: the standardized innovations of record x."""
+    def whiten(self, x: np.ndarray, k: int = 0, carry: tuple | None = None) -> np.ndarray:
+        """L^-1 x: the standardized innovations of record x.
+
+        x may instead hold rows k, k + 1, ... of longer records, with carry
+        their rows k - 1 of x and of the result, (x_{k-1}, u_{k-1}).
+        """
+        m = self.m[k : k + x.shape[0]]
+        g = self.l[k : k + x.shape[0]] / m
         u = x.copy()
         u[1:] -= self.rho * x[:-1]
-        u /= self._column(self.m, x.ndim)
-        g = self.l / self.m
-        for k in range(1, u.shape[0]):
-            u[k] -= g[k] * u[k - 1]
+        if carry is not None:
+            x_prev, u_prev = carry
+            u[0] -= self.rho * x_prev
+        u /= self._column(m, x.ndim)
+        if carry is not None:
+            u[0] -= g[0] * u_prev
+        for j in range(1, u.shape[0]):
+            u[j] -= g[j] * u[j - 1]
         return u
 
 
@@ -277,31 +300,45 @@ def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
+def _tiles(master_seed: int, prefix: tuple, n: int, lo: int, hi: int):
+    """The first n normals of trials lo..hi-1 under seed contract 3, in time tiles.
+
+    Yields (k, z) per tile of at most _TILE_ROWS rows, z of shape (rows,
+    blocks, TRIAL_BLOCK) holding rows k, k + 1, ... of every block that
+    trials lo..hi-1 touch, full width (_columns picks the trials). One
+    standard_normal call per block fills that block's next rows. z is a
+    view of one buffer that the next tile overwrites.
+    """
+    _check_seed(master_seed)
+    draws = [
+        np.random.default_rng(
+            np.random.SeedSequence(entropy=master_seed, spawn_key=prefix + (b,))
+        ).standard_normal
+        for b in range(lo // TRIAL_BLOCK, -(-hi // TRIAL_BLOCK))
+    ]
+    buf = np.empty((len(draws), min(_TILE_ROWS, n), TRIAL_BLOCK))
+    for k in range(0, n, _TILE_ROWS):
+        tile = buf[:, : min(_TILE_ROWS, n - k)]
+        for draw, rows in zip(draws, tile):
+            draw(out=rows)
+        yield k, tile.transpose(1, 0, 2)
+
+
+def _columns(z: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Trials lo..hi-1 of full-width blocks z[..., blocks, TRIAL_BLOCK], as (..., hi - lo)."""
+    first = lo - lo % TRIAL_BLOCK
+    return z.reshape(z.shape[:-2] + (-1,))[..., lo - first : hi - first]
+
+
 def normals(master_seed: int, prefix: tuple, n: int, lo: int, hi: int) -> np.ndarray:
     """(n, hi - lo) standard normals of trials lo..hi-1 under seed contract 3.
 
-    Column j is the first n normals of trial lo + j. Each block's stream
-    fills whole rows of its columns in place, one row of TRIAL_BLOCK
-    draws at a time; only a block cut by lo or hi goes through a
-    one-row buffer, so no extra block of n rows is ever allocated.
+    Column j is the first n normals of trial lo + j, copied tile by tile
+    from _tiles, the draw the Monte Carlo engine streams.
     """
-    _check_seed(master_seed)
     z = np.empty((n, hi - lo))
-    for b in range(lo // TRIAL_BLOCK, -(-hi // TRIAL_BLOCK)):
-        first = b * TRIAL_BLOCK
-        a, e = max(lo, first), min(hi, first + TRIAL_BLOCK)
-        draw = np.random.default_rng(
-            np.random.SeedSequence(entropy=master_seed, spawn_key=prefix + (b,))
-        ).standard_normal
-        cols = z[:, a - lo : e - lo]
-        if e - a == TRIAL_BLOCK:
-            for row in cols:
-                draw(out=row)
-        else:
-            buf = np.empty(TRIAL_BLOCK)
-            for row in cols:
-                draw(out=buf)
-                row[:] = buf[a - first : e - first]
+    for k, tile in _tiles(master_seed, prefix, n, lo, hi):
+        z[k : k + tile.shape[0]] = _columns(tile, lo, hi)
     return z
 
 

@@ -9,7 +9,7 @@ from scipy.linalg import toeplitz
 from scipy.special import erfcinv
 
 from conftest import ORACLE_GRID
-from snopto import detect
+from snopto import detect, synth
 from snopto.errors import BoundedSearchError, ConfigError, DomainError
 from snopto.detect import (
     DecisionReport,
@@ -250,15 +250,16 @@ class TestEngine:
 
     @pytest.mark.parametrize("truth", [FLAT, DIP, PEAK])
     def test_chunks_are_sized_by_samples(self, truth):
-        # 2048 trials of 8192 samples run as four chunks of 512 trials,
-        # 32 MB per (n, chunk) array; one 2048-trial chunk peaked at 568 MB
+        # 2048 trials of 8192 samples stream through tiles of 16 x 2048
+        # samples, 256 kB per array; only the factors (64 kB per array)
+        # grow with the record, where one (n, chunk) array would be 128 MB
         tracemalloc.start()
         try:
             y_ensemble(truth, PAIR_DIP, 8192 * 0.14, 0.14, 2048, master_seed=18)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 160 * 2**20
+        assert peak < 8 * 2**20
 
     @pytest.mark.parametrize("truth", [FLAT, DIP])
     def test_memory_stays_linear_in_record_length(self, truth):
@@ -295,18 +296,32 @@ class TestEngine:
 
     @pytest.mark.parametrize("n", [1, 2, 255, 1429, 6006, 8192, 2**22, 2**23])
     def test_chunks_hold_whole_blocks(self, n):
-        step = detect._chunk_trials(n)
-        assert step % TRIAL_BLOCK == 0 and TRIAL_BLOCK <= step <= detect._CHUNK_TRIALS
-        assert step * n <= detect._CHUNK_SAMPLES or step == TRIAL_BLOCK
+        # a chunk's tiles span whole blocks and at most _TILE_ROWS rows,
+        # whatever the record length
+        assert detect._CHUNK_TRIALS % TRIAL_BLOCK == 0
+        k, z = next(synth._tiles(0, (), n, 0, detect._CHUNK_TRIALS))
+        blocks = detect._CHUNK_TRIALS // TRIAL_BLOCK
+        assert k == 0 and z.shape == (min(n, synth._TILE_ROWS), blocks, TRIAL_BLOCK)
 
     def test_results_independent_of_chunk_size(self, monkeypatch):
-        # 4099 trials in 256-trial chunks, one partial block at the end,
-        # against the default 2048-trial chunks
+        # 4099 trials in one-block chunks, one partial block at the end,
+        # against the default eight-block chunks
         dt = 0.14
         wide = y_ensemble(DIP, PAIR_DIP, 40 * dt, dt, 4099, master_seed=23)
-        monkeypatch.setattr(detect, "_CHUNK_SAMPLES", 40 * TRIAL_BLOCK)
-        assert detect._chunk_trials(40) == TRIAL_BLOCK
+        monkeypatch.setattr(detect, "_CHUNK_TRIALS", TRIAL_BLOCK)
         assert np.array_equal(wide, y_ensemble(DIP, PAIR_DIP, 40 * dt, dt, 4099, master_seed=23))
+
+    @pytest.mark.parametrize("rows", [1, 3, 10**6])
+    def test_results_independent_of_tile_length(self, monkeypatch, rows):
+        # one-row tiles, tiles whose edges miss every tile edge of the
+        # default, and one tile longer than the record
+        dt, truths = 0.14, (FLAT, DIP, PEAK)
+        tables = [detect._y_table(t, DIP, _FROZEN_NS, dt, 300, 5, (1,), 1) for t in truths]
+        z = normals(5, (1,), 300, 100, 300)
+        monkeypatch.setattr(synth, "_TILE_ROWS", rows)
+        for truth, table in zip(truths, tables):
+            assert np.array_equal(detect._y_table(truth, DIP, _FROZEN_NS, dt, 300, 5, (1,), 1), table)
+        assert np.array_equal(normals(5, (1,), 300, 100, 300), z)
 
     def test_nested_pass_independent_of_jobs(self):
         # a nested pass split across two workers, cut at a block boundary
