@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from snopto import feasibility
 from snopto.constants import AMU
 from snopto.detect import fit_prediction
 from snopto.errors import ConfigError, DomainError
@@ -28,7 +29,7 @@ from snopto.feasibility import (
     pre_report,
     pre_tau_scaled,
 )
-from snopto.materials import MaterialSpec, get_material
+from snopto.materials import MaterialSpec, get_material, omega_sn
 from snopto.response import OpticalConfig, OscillatorConfig, gamma_squared
 
 
@@ -45,12 +46,128 @@ def anchor_post_config() -> ExperimentConfig:
     return ExperimentConfig(osc=osc, material=mat, optics=OpticalConfig(0.0, 1e-2, 2 * math.pi * 0.2e12))
 
 
+def _frozen_configs() -> dict:
+    """Anchors, reference designs and off-design points for the frozen-hex test."""
+    si = get_material("Si")
+    by_rate = OscillatorConfig(
+        mass=0.05, omega_cm=2 * math.pi * 0.02, omega_sn=omega_sn(si), gamma_m=3e-7, t0=20.0)
+    return {
+        "anchor-pre": anchor_pre_config(),
+        "anchor-post": anchor_post_config(),
+        "reference-pre": ExperimentConfig.reference_pre(),
+        "reference-post": ExperimentConfig.reference_post(),
+        "W-q-t0": ExperimentConfig.build(q=3e5, t0=77.0),
+        "Os-mass-omega_cm": ExperimentConfig.build(
+            material="Os", mass=1.5, omega_cm=2 * math.pi * 0.0015, q=2e6, t0=4.0),
+        "Si-optics": ExperimentConfig.build(
+            material="Si", transmissivity=3e-3, omega_c=2 * math.pi * 0.35e12),
+        "Pt-all": ExperimentConfig.build(
+            material="Pt", mass=0.8, omega_cm=2 * math.pi * 0.001, q=5e8, t0=0.1,
+            transmissivity=0.05, omega_c=2 * math.pi * 0.1e12),
+        "Pt-cold": ExperimentConfig.build(material="Pt", q=1e6, t0=10.0),
+        "Si-gamma_m": ExperimentConfig(
+            osc=by_rate, material=si, optics=OpticalConfig(0.0, 2e-2, 2 * math.pi * 0.2e12)),
+    }
+
+
 def with_osc(config: ExperimentConfig, **kw) -> ExperimentConfig:
     """Rebuild the oscillator from scratch so q / gamma_m stay consistent."""
     osc = config.osc
     fields = dict(mass=osc.mass, omega_cm=osc.omega_cm, omega_sn=osc.omega_sn, q=osc.q, t0=osc.t0)
     fields.update(kw)
     return replace(config, osc=OscillatorConfig(**fields))
+
+
+# The five anchored laws and the reports bit for bit, as float.hex, per
+# config of _frozen_configs: the laws (pre time, power, height; post time,
+# power), the pre report's beta and coherence time, and the post report's
+# dip depth, beta and coherence time. The reports' other fields are the
+# laws themselves. A change to a factor's orientation or to the order of
+# multiplication moves them.
+_LAWS = ("pre_tau_scaled", "pre_input_power", "pre_peak_height", "post_tau_scaled", "post_input_power")
+_FROZEN_LAWS = {
+    "anchor-pre": (
+        ("0x1.6800000000000p+12", "0x1.ba5e353f7ced9p-2", "0x1.0158000000000p+13",
+         "0x1.eca546b41e6c7p+40", "0x1.cd09c97373245p-58"),
+        ("0x1.8f0f60fcf8425p+30", "0x1.36d978b73c37dp+17"),
+        ("0x1.7974e75c38ce2p-18", "0x1.31bdf2696fab8p-18", "0x1.36d91be7687f6p+17"),
+    ),
+    "anchor-post": (
+        ("0x1.38bde37f85133p+0", "0x1.c64e2457d2ce8p-13", "0x1.043e55ba2ec30p+45",
+         "0x1.1238000000000p+20", "0x1.49da7e361ce4cp-28"),
+        ("0x1.a958b0a59c12ap+29", "0x1.7b7477dbad021p+28"),
+        ("0x1.3c0ca44d4a2c1p-1", "0x1.53e5ff04245a0p+14", "0x1.1dc78da1e2774p+14"),
+    ),
+    "reference-pre": (
+        ("0x1.68de09d940f22p+12", "0x1.b9d058bc3fa35p-2", "0x1.0080a9bb47532p+13",
+         "0x1.ee24169327957p+40", "0x1.cb2dcde58fe97p-58"),
+        ("0x1.8eab4a8fcda4ap+30", "0x1.36d978b73c37dp+17"),
+        ("0x1.784d980c2d65ap-18", "0x1.30cebe220706ap-18", "0x1.36d91c300574cp+17"),
+    ),
+    "reference-post": (
+        ("0x1.36b19c7c5dd25p+0", "0x1.c798dbfa2fe12p-13", "0x1.0694854d795ddp+45",
+         "0x1.0fb8b10b8942cp+20", "0x1.4de6d9cb201dep-28"),
+        ("0x1.6aa552e789d21p+30", "0x1.7b7477dbad021p+28"),
+        ("0x1.3c0ca44d7e382p-1", "0x1.57066b0d3945ep+14", "0x1.1b2cbd58c7dafp+14"),
+    ),
+    "W-q-t0": (
+        ("0x1.b092e926c739ap+8", "0x1.d744a2eaee8c2p-7", "0x1.b72c154edb996p+24",
+         "0x1.0e91d378da484p+34", "0x1.98687638b6f8fp-49"),
+        ("0x1.8eab4a8fcda4ap+30", "0x1.236be12bc8745p+22"),
+        ("0x1.3a9c6f24c2c2bp-6", "0x1.04f05d485817dp-6", "0x1.1eda54de2a243p+22"),
+    ),
+    "Os-mass-omega_cm": (
+        ("0x1.07d8d877557b3p+0", "0x1.776683c175d39p-6", "0x1.1815e385d6ca7p+44",
+         "0x1.fd7a4bf5a15d3p+22", "0x1.39086c2e6e1c0p-27"),
+        ("0x1.53989a84d0153p+33", "0x1.94c07fd941135p+27"),
+        ("0x1.3c0c9be089fc7p-1", "0x1.86ba5df3dd1f2p+10", "0x1.0904ccbbcff6fp+17"),
+    ),
+    "Si-optics": (
+        ("0x1.5742df6b2f6edp+19", "0x1.bbf8cd1dde709p-10", "0x1.7df070096a145p+3",
+         "0x1.6f0406092b27ap+49", "0x1.18dd8051807d5p-73"),
+        ("0x1.5ee2746b06103p+30", "0x1.36d978b73c37dp+17"),
+        ("0x1.3e517987af033p-27", "0x1.01d679ab6538bp-27", "0x1.36d97890199fep+17"),
+    ),
+    "Pt-all": (
+        ("0x1.3f1028b85a5b5p-6", "0x1.42b9343b6682cp-11", "0x1.7faade6afb31dp+63",
+         "0x1.620daad700612p+11", "0x1.22f6297560190p-7"),
+        ("0x1.b967005e13b62p+32", "0x1.2872fda39f29ap+36"),
+        ("0x1.3c0ca4587e6b8p-1", "0x1.9bc81642038c4p+30", "0x1.709928357ac4fp+5"),
+    ),
+    "Pt-cold": (
+        ("0x1.527b8c2171196p+6", "0x1.f841619cd02c4p-9", "0x1.49915daab9d41p+30",
+         "0x1.51a6d0c0f298ap+30", "0x1.f3de4077bf7f5p-43"),
+        ("0x1.c3ec95a90eb33p+30", "0x1.e5b3cc9e4e173p+23"),
+        ("0x1.96bd6f9bdb9aep-2", "0x1.597b7b489de21p-1", "0x1.2202e6a9b55cfp+23"),
+    ),
+    "Si-gamma_m": (
+        ("0x1.f4f62501515d7p+15", "0x1.9c2f68fcdeb13p-12", "0x1.32c51a26e222ap+14",
+         "0x1.2b12417bff0a8p+41", "0x1.88b1c5b098cc5p-59"),
+        ("0x1.283c3b2c1c068p+29", "0x1.96e6aaaaaaaabp+21"),
+        ("0x1.2ed2a222de9f8p-15", "0x1.ea982cb2703d8p-16", "0x1.96e39ee91e4f7p+21"),
+    ),
+}
+
+
+
+def _law(name: str, config: ExperimentConfig) -> float:
+    return getattr(feasibility, name)(config)
+
+
+class TestFrozenLaws:
+    @pytest.mark.parametrize("name", list(_FROZEN_LAWS))
+    def test_laws_and_reports_frozen_bit_for_bit(self, name):
+        cfg = _frozen_configs()[name]
+        laws = [_law(law, cfg) for law in _LAWS]
+        pre, post = pre_report(cfg), post_report(cfg)
+        got = (
+            tuple(v.hex() for v in laws),
+            (pre.beta_used.hex(), pre.coherence_time.hex()),
+            (post.peak_height_or_dip.hex(), post.beta_used.hex(), post.coherence_time.hex()),
+        )
+        assert got == _FROZEN_LAWS[name]
+        assert [pre.tau_min_scaled, pre.input_power, pre.peak_height_or_dip] == laws[:3]
+        assert [post.tau_min_scaled, post.input_power] == laws[3:]
 
 
 class TestAnchors:
