@@ -319,7 +319,8 @@ _SPECS = {
         "jobs": 1,
     },
     "feasibility": {
-        **PRE_DESIGN,
+        # unset design keys take the defaults of the chosen prescription
+        **dict.fromkeys(PRE_DESIGN),
         "prescription": _REQUIRED,
         "beta": None,
         "sweep": False,
@@ -413,7 +414,7 @@ def cmd_spectrum(args) -> int:
     else:
         # recorded so that a --config rerun takes the same from_beta path;
         # a beta recomputed from alpha_sq may differ in the last digit
-        conf["beta"] = beta_limit(SpectrumParams(exp.osc, 0.0), exp.material).recommended
+        conf["beta"] = beta_limit(exp.osc, exp.material).recommended
         params = SpectrumParams.from_beta(exp.osc, conf["beta"])
     prescription = conf["prescription"]
     if (conf["wmin"] is None) != (conf["wmax"] is None):
@@ -549,9 +550,7 @@ def cmd_taumin(args) -> int:
 
 def cmd_feasibility(args) -> int:
     """planning report from the anchored laws"""
-    # the prescription and the design keys resolve to None when unset; the
-    # prescription then picks the design defaults
-    conf = resolve(args, {**_SPECS["feasibility"], **dict.fromkeys([*PRE_DESIGN, "prescription"])})
+    conf = resolve(args, _SPECS["feasibility"])
     prescription = conf["prescription"]
     if prescription not in ("pre", "post"):
         raise ConfigError(f"prescription must be pre or post, got {prescription!r}")

@@ -29,14 +29,14 @@ Everything random is reproducible (synth.SEED_CONTRACT, version 3):
 trials are drawn in blocks of synth.TRIAL_BLOCK = 256, block b from one
 stream SeedSequence(entropy=master_seed, spawn_key=prefix + (b,)) filled
 time-major, and trial i is column i % 256 of block i // 256. The prefix
-is () for outcome_probs and (truth_index,) for the duration search and
-duration_sweep, truth 0 the flat law and 1 the alt, with no duration in
-the key: records are nested, the record of n samples being the first n
-samples of the trial's longer record, so one pass over time scores every
-duration up to its length and every duration sees the same noise. Chunks
-and worker ranges are cut at block boundaries, so results do not depend
-on --jobs. The duration search keeps one such pass at a time, as a
-mapping from each recorded length to its (flat, alt) rows of Y.
+is () for outcome_probs and (truth_index,) for the duration search,
+truth 0 the flat law and 1 the alt, with no duration in the key: records
+are nested, the record of n samples being the first n samples of the
+trial's longer record, so one pass over time scores every duration up to
+its length and every duration sees the same noise. Chunks and worker
+ranges are cut at block boundaries, so results do not depend on --jobs.
+The duration search keeps one such pass at a time, as a mapping from
+each recorded length to its (flat, alt) rows of Y.
 """
 
 from __future__ import annotations
@@ -590,48 +590,3 @@ def tau_min(
         n_samples=hi,
         probes=tuple((m, *v) for m, v in probe.items()),
     )
-
-
-def duration_sweep(
-    pair: HypothesisPair,
-    sample_counts,
-    dt: float,
-    confidence_p: float,
-    n_trials: int,
-    master_seed: int,
-    jobs: int = 1,
-) -> list:
-    """Threshold-search summary per duration, for tabulating search curves.
-
-    All durations come from one nested pass per truth, on the streams the
-    duration search uses, so a row equals the search's probe at that n.
-    """
-    counts = [int(n) for n in sample_counts]
-    if not counts:
-        return []
-    if dt <= 0:
-        raise ConfigError(f"dt must be > 0, got {dt}")
-    if min(counts) < 2:
-        raise ConfigError(f"records of {min(counts)} samples; need >= 2")
-    _check_ensemble(pair.alt_model, pair, dt, n_trials)
-    ys = _nested_rows(pair, counts, dt, n_trials, master_seed, jobs)
-    rows = []
-    for n in counts:
-        yf, ya = ys[n]
-        ok, y_th, worst = threshold_search(yf, ya, confidence_p)
-        _, wrong_flat, none_flat = _verdict_rates(yf, y_th)
-        wrong_alt, _, none_alt = _verdict_rates(ya, y_th)
-        rows.append(
-            {
-                "n_samples": n,
-                "duration": n * dt,
-                "feasible": ok,
-                "y_th": y_th,
-                "worst": worst,
-                "p_wrong_flat": wrong_flat,
-                "p_indecision_flat": none_flat,
-                "p_wrong_alt": wrong_alt,
-                "p_indecision_alt": none_alt,
-            }
-        )
-    return rows

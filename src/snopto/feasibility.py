@@ -1,7 +1,8 @@
 """Experiment planning: time, power and signal-size estimates plus the
 measurement-strength sweep.
 
-Two kinds of answers live here. The anchored power laws (pre_report,
+Two kinds of answers live here. The anchored power laws (one table,
+ANCHORED_LAWS, one evaluator, anchored_law, reported by pre_report and
 post_report) take a quoted reference design and scale it: each value is a
 reference number times printed exponents of the parameter ratios, so
 evaluating at the reference point reproduces the reference value to
@@ -44,9 +45,7 @@ DAY = 86400.0
 # Reference design points the power laws are anchored to, keyed by the
 # arguments of ExperimentConfig.build; the command line takes its defaults
 # from them too. The "pre" design is a room-temperature tungsten pendulum
-# read out hard; "post" is a cryogenic osmium one read out softly. Atomic
-# masses enter the laws as the rounded values the anchors were quoted with,
-# not the isotope-averaged ones, so that the anchor evaluation is exact.
+# read out hard; "post" is a cryogenic osmium one read out softly.
 PRE_DESIGN = {
     "material": "W",
     "mass": 0.2,  # kg
@@ -65,15 +64,37 @@ POST_DESIGN = {
     "t0": 1.0,
 }
 
-_PRE_TAU_REF = 1.6 * HOUR
-_PRE_POWER_REF = 0.432
-_PRE_HEIGHT_REF = 8235.0
-_PRE_M_ATOM = 184.0  # amu
-_PRE_OMEGA_SN = 0.359
+# The points the laws are anchored at: the reference designs with the
+# rounded atomic mass (amu) and trap frequencies the laws were quoted with,
+# not the isotope-averaged ones, so that the anchor evaluation is exact.
+_PRE_ANCHOR = {**PRE_DESIGN, "m_atom": 184.0, "omega_sn": 0.359}
+_POST_ANCHOR = {**POST_DESIGN, "omega_sn": 0.488}
 
-_POST_TAU_REF = 13.0 * DAY
-_POST_POWER_REF = 4.8e-9
-_POST_OMEGA_SN = 0.488
+# Each law: (value at the anchor, the anchor, factors). A factor
+# (quantity, e) contributes (x / x_anchor) ** e if e > 0 and
+# (x_anchor / x) ** -e if e < 0, multiplied in the listed order; the
+# orientation and order are part of the law, as they fix the last bits.
+ANCHORED_LAWS = {
+    # minimum measurement time (s) for the peak signature
+    "pre_tau_scaled": (1.6 * HOUR, _PRE_ANCHOR, (
+        ("t0", 0.73), ("omega_cm", 0.47), ("m_atom", -0.49),
+        ("mass", -0.73), ("q", -0.47), ("omega_sn", -1.96))),
+    # input optical power (W) to run at a tenth of the strength limit
+    "pre_input_power": (0.432, _PRE_ANCHOR, (
+        ("q", -1), ("m_atom", 2.0 / 3.0), ("mass", 2), ("omega_cm", 1),
+        ("omega_sn", 2.0 / 3.0), ("omega_c", -1), ("transmissivity", 2))),
+    # normalized peak height h at a tenth of the strength limit
+    "pre_peak_height": (8235.0, _PRE_ANCHOR, (
+        ("q", 2), ("m_atom", 2.0 / 3.0), ("mass", 1), ("omega_cm", -2),
+        ("omega_sn", 8.0 / 3.0), ("t0", -1))),
+    # minimum measurement time (s) for the dip signature
+    "post_tau_scaled": (13.0 * DAY, _POST_ANCHOR, (
+        ("q", -1), ("t0", 1), ("omega_sn", -3), ("omega_cm", 1))),
+    # input optical power (W) to run at the optimal dip strength
+    "post_input_power": (4.8e-9, _POST_ANCHOR, (
+        ("q", 1), ("t0", -2), ("mass", 2), ("omega_cm", -1),
+        ("omega_sn", 4), ("omega_c", -1), ("transmissivity", 2))),
+}
 
 
 @dataclass(frozen=True)
@@ -146,92 +167,27 @@ class FeasibilityReport:
         return all(self.validity_flags.values())
 
 
-def _quality(osc: OscillatorConfig) -> float:
-    if osc.q is not None:
-        return float(osc.q)
-    if osc.omega_cm > 0 and osc.gamma_m > 0:
-        return osc.omega_cm / osc.gamma_m
-    raise DomainError("scaling laws need a finite quality factor")
-
-
-def _check_scaling_inputs(config: ExperimentConfig):
-    osc = config.osc
+def anchored_law(name: str, config: ExperimentConfig) -> float:
+    """Evaluate the law ANCHORED_LAWS[name] at a design."""
+    value, anchor, factors = ANCHORED_LAWS[name]
+    osc, opt = config.osc, config.optics
     if osc.omega_cm <= 0 or osc.omega_sn <= 0 or osc.t0 <= 0 or osc.gamma_m <= 0:
         raise DomainError(
             "scaling laws need omega_cm, omega_sn, t0 and gamma_m all > 0"
         )
-
-
-def pre_tau_scaled(config: ExperimentConfig) -> float:
-    """Minimum measurement time (s) for the peak signature, anchored law."""
-    _check_scaling_inputs(config)
-    osc, ref = config.osc, PRE_DESIGN
-    m_atom = config.material.atomic_mass / AMU
-    return _PRE_TAU_REF * (
-        (osc.t0 / ref["t0"]) ** 0.73
-        * (osc.omega_cm / ref["omega_cm"]) ** 0.47
-        * (_PRE_M_ATOM / m_atom) ** 0.49
-        * (ref["mass"] / osc.mass) ** 0.73
-        * (ref["q"] / _quality(osc)) ** 0.47
-        * (_PRE_OMEGA_SN / osc.omega_sn) ** 1.96
-    )
-
-
-def pre_input_power(config: ExperimentConfig) -> float:
-    """Input optical power (W) needed to run at a tenth of the strength limit."""
-    _check_scaling_inputs(config)
-    osc, opt, ref = config.osc, config.optics, PRE_DESIGN
-    m_atom = config.material.atomic_mass / AMU
-    return _PRE_POWER_REF * (
-        (ref["q"] / _quality(osc))
-        * (m_atom / _PRE_M_ATOM) ** (2.0 / 3.0)
-        * (osc.mass / ref["mass"]) ** 2
-        * (osc.omega_cm / ref["omega_cm"])
-        * (osc.omega_sn / _PRE_OMEGA_SN) ** (2.0 / 3.0)
-        * (ref["omega_c"] / opt.omega_c)
-        * (opt.transmissivity / ref["transmissivity"]) ** 2
-    )
-
-
-def pre_peak_height(config: ExperimentConfig) -> float:
-    """Normalized peak height h at a tenth of the strength limit, anchored law."""
-    _check_scaling_inputs(config)
-    osc, ref = config.osc, PRE_DESIGN
-    m_atom = config.material.atomic_mass / AMU
-    return _PRE_HEIGHT_REF * (
-        (_quality(osc) / ref["q"]) ** 2
-        * (m_atom / _PRE_M_ATOM) ** (2.0 / 3.0)
-        * (osc.mass / ref["mass"])
-        * (ref["omega_cm"] / osc.omega_cm) ** 2
-        * (osc.omega_sn / _PRE_OMEGA_SN) ** (8.0 / 3.0)
-        * (ref["t0"] / osc.t0)
-    )
-
-
-def post_tau_scaled(config: ExperimentConfig) -> float:
-    """Minimum measurement time (s) for the dip signature, anchored law."""
-    _check_scaling_inputs(config)
-    osc, ref = config.osc, POST_DESIGN
-    return _POST_TAU_REF * (
-        (ref["q"] / _quality(osc))
-        * (osc.t0 / ref["t0"])
-        * (_POST_OMEGA_SN / osc.omega_sn) ** 3
-        * (osc.omega_cm / ref["omega_cm"])
-    )
-
-
-def post_input_power(config: ExperimentConfig) -> float:
-    """Input optical power (W) needed to run at the optimal dip strength."""
-    _check_scaling_inputs(config)
-    osc, opt, ref = config.osc, config.optics, POST_DESIGN
-    return _POST_POWER_REF * (
-        (_quality(osc) / ref["q"])
-        * (ref["t0"] / osc.t0) ** 2
-        * (osc.mass / ref["mass"]) ** 2
-        * (ref["omega_cm"] / osc.omega_cm)
-        * (osc.omega_sn / _POST_OMEGA_SN) ** 4
-        * (ref["omega_c"] / opt.omega_c)
-        * (opt.transmissivity / ref["transmissivity"]) ** 2
+    design = {
+        "t0": osc.t0,
+        "omega_cm": osc.omega_cm,
+        "m_atom": config.material.atomic_mass / AMU,
+        "mass": osc.mass,
+        "q": float(osc.q) if osc.q is not None else osc.omega_cm / osc.gamma_m,
+        "omega_sn": osc.omega_sn,
+        "omega_c": opt.omega_c,
+        "transmissivity": opt.transmissivity,
+    }
+    return value * math.prod(
+        (design[k] / anchor[k]) ** e if e > 0 else (anchor[k] / design[k]) ** -e
+        for k, e in factors
     )
 
 
@@ -300,8 +256,7 @@ def optimize_beta(gamma_sq: float, gamma_m: float, p: float = 10.0, n_grid: int 
 
 def _common_flags(config: ExperimentConfig, beta_used: float, fwhm: float) -> dict:
     osc = config.osc
-    params = SpectrumParams(osc, 0.0)
-    bl = beta_limit(params, config.material)
+    bl = beta_limit(osc, config.material)
     return {
         "beta_limit": beta_used <= bl.recommended * (1.0 + 1e-12),
         "narrowband": fwhm <= 1e-3 * osc.omega_q,
@@ -321,14 +276,14 @@ def pre_report(config: ExperimentConfig, beta: float = None) -> FeasibilityRepor
     laws are functions of the design, not of beta) but trips the
     beta_limit flag.
     """
-    _check_scaling_inputs(config)
+    tau, power, height = (
+        anchored_law(k, config) for k in ("pre_tau_scaled", "pre_input_power", "pre_peak_height")
+    )
     osc = config.osc
     if beta is None:
-        params0 = SpectrumParams(osc, 0.0)
-        beta = beta_limit(params0, config.material).recommended
+        beta = beta_limit(osc, config.material).recommended
     if beta <= 0:
         raise DomainError(f"beta must be > 0, got {beta}")
-    height = pre_peak_height(config)
     feat = pre_feature(SpectrumParams.from_beta(osc, beta))
     g2_exact = gamma_squared(osc)
     g2_approx = gamma_squared_approx(osc)
@@ -337,8 +292,8 @@ def pre_report(config: ExperimentConfig, beta: float = None) -> FeasibilityRepor
     flags["fit_range"] = height >= 10.0
     return FeasibilityReport(
         prescription="pre",
-        tau_min_scaled=pre_tau_scaled(config),
-        input_power=pre_input_power(config),
+        tau_min_scaled=tau,
+        input_power=power,
         peak_height_or_dip=height,
         beta_used=beta,
         coherence_time=1.0 / feat.fwhm,
@@ -354,7 +309,7 @@ def post_report(config: ExperimentConfig, beta: float = None) -> FeasibilityRepo
     the strength actually used; time and power come from the anchored
     laws, which assume the rule-of-thumb strength.
     """
-    _check_scaling_inputs(config)
+    tau, power = (anchored_law(k, config) for k in ("post_tau_scaled", "post_input_power"))
     osc = config.osc
     g2 = gamma_squared(osc)
     if beta is None:
@@ -367,8 +322,8 @@ def post_report(config: ExperimentConfig, beta: float = None) -> FeasibilityRepo
     flags["fit_range"] = feat.amplitude < 0.9
     return FeasibilityReport(
         prescription="post",
-        tau_min_scaled=post_tau_scaled(config),
-        input_power=post_input_power(config),
+        tau_min_scaled=tau,
+        input_power=power,
         peak_height_or_dip=feat.amplitude,
         beta_used=beta,
         coherence_time=1.0 / feat.fwhm,

@@ -220,7 +220,7 @@ class BetaLimit(NamedTuple):
     recommended: float  # limit / 10
 
 
-def beta_limit(params: SpectrumParams, material) -> BetaLimit:
+def beta_limit(osc: OscillatorConfig, material) -> BetaLimit:
     """Largest beta before the measured spread reaches the lattice zero-point spread.
 
     Requiring delta_x_cm <= sqrt(2) delta_x_zp gives
@@ -234,7 +234,7 @@ def beta_limit(params: SpectrumParams, material) -> BetaLimit:
         dx = float(material)
         if dx <= 0:
             raise DomainError(f"delta_x_zp must be > 0, got {dx}")
-    lim = 2.0 * dx**2 / (HBAR / (2.0 * params.osc.mass * params.omega_q))
+    lim = 2.0 * dx**2 / (HBAR / (2.0 * osc.mass * osc.omega_q))
     return BetaLimit(limit=lim, recommended=lim / 10.0)
 
 

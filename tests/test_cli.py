@@ -345,6 +345,7 @@ class TestFeasibility:
 
     def test_prescription_required(self, capsys):
         assert main(["feasibility"]) == 2
+        assert capsys.readouterr().err == "error: missing required option --prescription\n"
 
     def test_unit_suffixes_through_config(self, tmp_path):
         conf = tmp_path / "run.conf"

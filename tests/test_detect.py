@@ -17,7 +17,6 @@ from snopto.detect import (
     TauMinResult,
     _erfcinv,
     _levels,
-    duration_sweep,
     estimator_y,
     fit_prediction,
     log_likelihood,
@@ -704,7 +703,7 @@ class TestTauMin:
     def test_one_stream_per_block_of_trials(self, monkeypatch):
         # one nested pass over 1e4 trials seeds 2 truths x 40 blocks, not 2e4 trials
         made = self._count_seeds(monkeypatch)
-        duration_sweep(PAIR_PEAK, [2, 3], 0.14, 0.10, 10000, master_seed=0)
+        detect._nested_rows(PAIR_PEAK, [2, 3], 0.14, 10000, 0, 1)
         assert len(made) == 2 * 40
 
     @pytest.mark.parametrize("max_samples", [1, 0])
@@ -723,30 +722,28 @@ class TestTauMin:
 
 
 class TestDurationSweep:
+    """One nested pass per truth scores several durations, as the search does."""
+
     def test_rows_are_consistent(self):
-        rows = duration_sweep(PAIR_DIP, [357, 714, 1071], 0.14, 0.10, 800, master_seed=60)
-        assert len(rows) == 3
-        for row in rows:
-            four = [
-                row["p_wrong_flat"], row["p_indecision_flat"],
-                row["p_wrong_alt"], row["p_indecision_alt"],
-            ]
-            assert row["worst"] == pytest.approx(max(four), abs=1e-12)
-            assert row["feasible"] == (row["worst"] <= 0.10)
+        ns = [357, 714, 1071]
+        ys = detect._nested_rows(PAIR_DIP, ns, 0.14, 800, 60, 1)
+        worsts = []
+        for n in ns:
+            yf, ya = ys[n]
+            ok, y_th, worst = threshold_search(yf, ya, 0.10)
+            _, wrong_flat, none_flat = detect._verdict_rates(yf, y_th)
+            wrong_alt, _, none_alt = detect._verdict_rates(ya, y_th)
+            four = [wrong_flat, none_flat, wrong_alt, none_alt]
+            assert worst == pytest.approx(max(four), abs=1e-12)
+            assert ok == (worst <= 0.10)
+            worsts.append(worst)
         # more data cannot make the best achievable worst-rate larger
-        assert rows[2]["worst"] <= rows[0]["worst"] + 0.02
+        assert worsts[2] <= worsts[0] + 0.02
 
     def test_rows_equal_the_search_probes(self):
-        # the sweep and the search score the same nested records
+        # a nested pass over the probed lengths scores the search's records
         pair = HypothesisPair(FLAT, BasebandModel("peak", amplitude=30.0, fwhm_gamma=1.0))
         res = tau_min(pair, 0.10, n_trials=500, master_seed=61)
-        ns = [n for n, *_ in res.probes]
-        rows = duration_sweep(pair, ns, 0.14, 0.10, 500, master_seed=61)
-        for (n, ok, y_th, worst), row in zip(res.probes, rows):
-            assert (row["n_samples"], row["feasible"], row["y_th"], row["worst"]) == (n, ok, y_th, worst)
-
-    def test_guards(self):
-        with pytest.raises(ConfigError):
-            duration_sweep(PAIR_DIP, [1, 10], 0.14, 0.10, 100, master_seed=0)
-        with pytest.raises(ConfigError):
-            duration_sweep(PAIR_DIP, [10], 0.0, 0.10, 100, master_seed=0)
+        ys = detect._nested_rows(pair, [n for n, *_ in res.probes], 0.14, 500, 61, 1)
+        for n, ok, y_th, worst in res.probes:
+            assert threshold_search(*ys[n], 0.10) == (ok, y_th, worst)

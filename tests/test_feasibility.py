@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snopto import feasibility
 from snopto.constants import AMU
 from snopto.detect import fit_prediction
 from snopto.errors import ConfigError, DomainError
@@ -19,15 +18,11 @@ from snopto.feasibility import (
     BetaSweep,
     ExperimentConfig,
     FeasibilityReport,
+    anchored_law,
     optimize_beta,
     post_beta_opt,
-    post_input_power,
     post_report,
-    post_tau_scaled,
-    pre_input_power,
-    pre_peak_height,
     pre_report,
-    pre_tau_scaled,
 )
 from snopto.materials import MaterialSpec, get_material, omega_sn
 from snopto.response import OpticalConfig, OscillatorConfig, gamma_squared
@@ -84,7 +79,8 @@ def with_osc(config: ExperimentConfig, **kw) -> ExperimentConfig:
 # dip depth, beta and coherence time. The reports' other fields are the
 # laws themselves. A change to a factor's orientation or to the order of
 # multiplication moves them.
-_LAWS = ("pre_tau_scaled", "pre_input_power", "pre_peak_height", "post_tau_scaled", "post_input_power")
+_LAWS = (
+    "pre_tau_scaled", "pre_input_power", "pre_peak_height", "post_tau_scaled", "post_input_power")
 _FROZEN_LAWS = {
     "anchor-pre": (
         ("0x1.6800000000000p+12", "0x1.ba5e353f7ced9p-2", "0x1.0158000000000p+13",
@@ -149,16 +145,11 @@ _FROZEN_LAWS = {
 }
 
 
-
-def _law(name: str, config: ExperimentConfig) -> float:
-    return getattr(feasibility, name)(config)
-
-
 class TestFrozenLaws:
     @pytest.mark.parametrize("name", list(_FROZEN_LAWS))
     def test_laws_and_reports_frozen_bit_for_bit(self, name):
         cfg = _frozen_configs()[name]
-        laws = [_law(law, cfg) for law in _LAWS]
+        laws = [anchored_law(law, cfg) for law in _LAWS]
         pre, post = pre_report(cfg), post_report(cfg)
         got = (
             tuple(v.hex() for v in laws),
@@ -173,14 +164,14 @@ class TestFrozenLaws:
 class TestAnchors:
     def test_pre_exact_at_reference(self):
         cfg = anchor_pre_config()
-        assert pre_tau_scaled(cfg) == pytest.approx(1.6 * HOUR, rel=1e-12)
-        assert pre_input_power(cfg) == pytest.approx(0.432, rel=1e-12)
-        assert pre_peak_height(cfg) == pytest.approx(8235.0, rel=1e-12)
+        assert anchored_law("pre_tau_scaled", cfg) == pytest.approx(1.6 * HOUR, rel=1e-12)
+        assert anchored_law("pre_input_power", cfg) == pytest.approx(0.432, rel=1e-12)
+        assert anchored_law("pre_peak_height", cfg) == pytest.approx(8235.0, rel=1e-12)
 
     def test_post_exact_at_reference(self):
         cfg = anchor_post_config()
-        assert post_tau_scaled(cfg) == pytest.approx(13.0 * DAY, rel=1e-12)
-        assert post_input_power(cfg) == pytest.approx(4.8e-9, rel=1e-12)
+        assert anchored_law("post_tau_scaled", cfg) == pytest.approx(13.0 * DAY, rel=1e-12)
+        assert anchored_law("post_input_power", cfg) == pytest.approx(4.8e-9, rel=1e-12)
 
     def test_real_materials_land_near_quoted_numbers(self):
         # the builtin W and Os trap frequencies differ from the rounded
@@ -200,44 +191,46 @@ class TestScalingExponents:
     def test_pre_quality_factor(self):
         base = anchor_pre_config()
         better = with_osc(base, q=1e6)
-        assert pre_peak_height(better) == pytest.approx(1e4 * 8235.0, rel=1e-12)
-        assert pre_tau_scaled(better) == pytest.approx(1.6 * HOUR * 100.0 ** -0.47, rel=1e-12)
-        assert pre_input_power(better) == pytest.approx(0.432 / 100.0, rel=1e-12)
+        assert anchored_law("pre_peak_height", better) == pytest.approx(1e4 * 8235.0, rel=1e-12)
+        assert anchored_law("pre_tau_scaled", better) == pytest.approx(
+            1.6 * HOUR * 100.0 ** -0.47, rel=1e-12)
+        assert anchored_law("pre_input_power", better) == pytest.approx(0.432 / 100.0, rel=1e-12)
 
     def test_pre_bath_temperature(self):
         base = anchor_pre_config()
         cold = with_osc(base, t0=150.0)
-        assert pre_tau_scaled(cold) == pytest.approx(1.6 * HOUR * 0.5**0.73, rel=1e-12)
-        assert pre_peak_height(cold) == pytest.approx(2 * 8235.0, rel=1e-12)
+        assert anchored_law("pre_tau_scaled", cold) == pytest.approx(1.6 * HOUR * 0.5**0.73, rel=1e-12)
+        assert anchored_law("pre_peak_height", cold) == pytest.approx(2 * 8235.0, rel=1e-12)
 
     def test_pre_total_mass(self):
         base = anchor_pre_config()
         heavy = with_osc(base, mass=0.4)
-        assert pre_input_power(heavy) == pytest.approx(0.432 * 4.0, rel=1e-12)
-        assert pre_tau_scaled(heavy) == pytest.approx(1.6 * HOUR * 0.5**0.73, rel=1e-12)
+        assert anchored_law("pre_input_power", heavy) == pytest.approx(0.432 * 4.0, rel=1e-12)
+        assert anchored_law("pre_tau_scaled", heavy) == pytest.approx(1.6 * HOUR * 0.5**0.73, rel=1e-12)
 
     def test_post_quality_factor(self):
         base = anchor_post_config()
-        assert post_tau_scaled(with_osc(base, q=1e8)) == pytest.approx(1.3 * DAY, rel=1e-12)
+        better = with_osc(base, q=1e8)
+        assert anchored_law("post_tau_scaled", better) == pytest.approx(1.3 * DAY, rel=1e-12)
 
     def test_post_trap_frequency_cubed(self):
         base = anchor_post_config()
         strong = with_osc(base, omega_sn=2 * 0.488)
-        assert post_tau_scaled(strong) == pytest.approx(13.0 * DAY / 8.0, rel=1e-12)
+        assert anchored_law("post_tau_scaled", strong) == pytest.approx(13.0 * DAY / 8.0, rel=1e-12)
 
     def test_optics_factors(self):
         base = anchor_post_config()
         leaky = replace(base, optics=OpticalConfig(0.0, 2e-2, 2 * math.pi * 0.2e12))
-        assert post_input_power(leaky) == pytest.approx(4.0 * 4.8e-9, rel=1e-12)
+        assert anchored_law("post_input_power", leaky) == pytest.approx(4.0 * 4.8e-9, rel=1e-12)
         blue = replace(base, optics=OpticalConfig(0.0, 1e-2, 2 * math.pi * 0.4e12))
-        assert post_input_power(blue) == pytest.approx(4.8e-9 / 2.0, rel=1e-12)
+        assert anchored_law("post_input_power", blue) == pytest.approx(4.8e-9 / 2.0, rel=1e-12)
 
     @settings(max_examples=20, deadline=None)
     @given(f=st.floats(min_value=0.25, max_value=4.0))
     def test_pure_power_law_property(self, f):
         base = anchor_pre_config()
         scaled = with_osc(base, q=1e4 * f)
-        assert pre_tau_scaled(scaled) == pytest.approx(1.6 * HOUR * f**-0.47, rel=1e-12)
+        assert anchored_law("pre_tau_scaled", scaled) == pytest.approx(1.6 * HOUR * f**-0.47, rel=1e-12)
 
     def test_quality_from_damping_rate(self):
         base = anchor_pre_config()
@@ -245,7 +238,8 @@ class TestScalingExponents:
         alt = replace(base, osc=OscillatorConfig(
             mass=osc.mass, omega_cm=osc.omega_cm, omega_sn=osc.omega_sn,
             gamma_m=osc.omega_cm / 1e4, t0=osc.t0))
-        assert pre_tau_scaled(alt) == pytest.approx(pre_tau_scaled(base), rel=1e-9)
+        assert anchored_law("pre_tau_scaled", alt) == pytest.approx(
+            anchored_law("pre_tau_scaled", base), rel=1e-9)
 
 
 class TestBetaOpt:

@@ -282,8 +282,7 @@ class TestDeltaXcm:
 
 class TestBetaLimit:
     def test_frozen_tungsten_limit(self):
-        params = sp.SpectrumParams.from_beta(tungsten_osc(), 1.0)
-        lim = sp.beta_limit(params, get_material("W"))
+        lim = sp.beta_limit(tungsten_osc(), get_material("W"))
         assert lim.limit == pytest.approx(1.673779e10, rel=1e-5)
         assert lim.recommended == pytest.approx(lim.limit / 10, rel=1e-12)
 
@@ -293,17 +292,14 @@ class TestBetaLimit:
             mass=2 * osc1.mass, omega_cm=osc1.omega_cm, omega_sn=osc1.omega_sn,
             gamma_m=osc1.gamma_m, t0=osc1.t0,
         )
-        p1 = sp.SpectrumParams.from_beta(osc1, 1.0)
-        p2 = sp.SpectrumParams.from_beta(osc2, 1.0)
         dx = 2.46e-12
-        assert sp.beta_limit(p2, dx).limit == pytest.approx(
-            2 * sp.beta_limit(p1, dx).limit, rel=1e-12
+        assert sp.beta_limit(osc2, dx).limit == pytest.approx(
+            2 * sp.beta_limit(osc1, dx).limit, rel=1e-12
         )
 
     def test_spread_at_limit_brackets_lattice_spread(self):
-        params = sp.SpectrumParams.from_beta(tungsten_osc(), 1.0)
         w = get_material("W")
-        lim = sp.beta_limit(params, w).limit
+        lim = sp.beta_limit(tungsten_osc(), w).limit
         at_limit = sp.SpectrumParams.from_beta(tungsten_osc(), lim)
         from snopto.materials import delta_x_zp
 
@@ -316,8 +312,7 @@ class TestBetaLimit:
         # the corresponding round-number quote of 8235 is reproduced only at
         # the order-of-magnitude level by this chain (see feasibility module
         # for the anchored form that returns it exactly)
-        params0 = sp.SpectrumParams.from_beta(tungsten_osc(), 1.0)
-        rec = sp.beta_limit(params0, get_material("W")).recommended
+        rec = sp.beta_limit(tungsten_osc(), get_material("W")).recommended
         params = sp.SpectrumParams.from_beta(tungsten_osc(), rec)
         h = sp.pre_feature(params).amplitude
         assert h == pytest.approx(12299.3, rel=1e-4)
