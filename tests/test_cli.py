@@ -1,6 +1,7 @@
 """End-to-end runs of the command line, in process, against temp dirs."""
 
 import argparse
+import hashlib
 import json
 import math
 
@@ -216,6 +217,24 @@ class TestDynamics:
         assert data.shape[1] == 7
         energy = data[:, 6]
         assert np.max(np.abs(energy / energy[0] - 1.0)) < 1e-9
+
+    # sha256 of the emitted CSV, header included, per (store_every,
+    # t_final) at the default dt: 4637 rows (five chunks of records, more
+    # than one block of CSV rows), 5796 rows (six chunks) and 663 rows (one
+    # chunk); no row count is a multiple of 1024
+    FROZEN_CSV = {
+        (1, "80"): "46f45895d8995d3a292b81836d0da589b931042ad5cd045d5fc303973b66f8bd",
+        (3, "300"): "9e6d91deeafcd31c14ed7123ca4a5cb317b0decb67cb5179f920906443b2cb51",
+        (7, "80"): "b588cc4484797c4afa9d3a9a67a34dc3aa9d044c8462ccfa45ec7c8b1d071c9a",
+    }
+
+    @pytest.mark.parametrize("store_every,t_final", list(FROZEN_CSV))
+    def test_csv_frozen(self, tmp_path, store_every, t_final):
+        assert main(["dynamics", "--t-final", t_final, "--store-every", str(store_every),
+                     "--squeeze", "0.3", "--x0", "2e-16", "--p0", "1e-18",
+                     "--outdir", str(tmp_path)]) == 0
+        digest = hashlib.sha256((tmp_path / "dynamics_W_seed0.csv").read_bytes()).hexdigest()
+        assert digest == self.FROZEN_CSV[store_every, t_final]
 
     def test_requires_t_final(self, capsys):
         assert main(["dynamics"]) == 2

@@ -1,5 +1,7 @@
 """Moment propagation: conservation laws, the two-frequency split, scaling."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -256,6 +258,26 @@ class TestIntegratorGuards:
         got = np.column_stack([traj.mean_x, traj.mean_p, traj.var_xx, traj.cov_xp, traj.var_pp])
         atol = 8 * n_rec * np.finfo(np.float64).eps * np.abs(ref).max(axis=0)
         assert np.all(np.abs(got - ref) <= atol)
+
+    # sha256 of every returned array's bytes (times, the five moments,
+    # energy), per (store_every, n_rec): five, six and one chunk of records
+    FROZEN = {
+        (1, 4637): "d740135a5c84d46936d710fde90e1c8ce4159db89893afa55b7db34cb378e4ad",
+        (3, 5796): "768ce48354531356ef99a80a4ee47a9c93f5d71dcabf25126cf8f122bfe21992",
+        (7, 663): "c4c3f0b04d6ca936c67d64e737b62b8ccaf7c3db4696fd0736baf4dd1f37abc9",
+    }
+
+    @pytest.mark.parametrize("store_every,n_rec", list(FROZEN))
+    def test_records_frozen(self, store_every, n_rec):
+        dt = 2 * np.pi / GENERIC.omega_q / 1000
+        s0 = GaussianState.ground(GENERIC).squeezed(0.3).displaced(dx=2e-16, dp=1e-18)
+        t_final = (n_rec * store_every - 1.5) * dt
+        traj = evolve_moments(s0, GENERIC, t_final, dt=dt, store_every=store_every)
+        assert traj.times.size == n_rec
+        digest = hashlib.sha256()
+        for name in ("times", "mean_x", "mean_p", "var_xx", "cov_xp", "var_pp", "energy"):
+            digest.update(np.ascontiguousarray(getattr(traj, name)).tobytes())
+        assert digest.hexdigest() == self.FROZEN[store_every, n_rec]
 
     def test_fft_helper_needs_samples(self):
         with pytest.raises(ConfigError):

@@ -1,5 +1,7 @@
 """Generators against their own covariance targets, demodulation bookkeeping."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -351,6 +353,38 @@ class TestDemodulation:
         tt = t[trim]
         slope = np.polyfit(tt, phase, 1)[0]
         assert slope == pytest.approx(delta, rel=1e-9)
+
+
+def _carrier_psd(omega):
+    """White floor plus a Lorentzian line at 10 rad/s, 0.5 rad/s wide."""
+    return 0.5 + 4.0 / (1.0 + ((np.abs(omega) - 10.0) / 0.25) ** 2)
+
+
+class TestDemodulatedRecordFrozen:
+    # float.hex of (first, last, math.fsum) of the record, the cosine and
+    # the sine quadrature, per record length: a power of two and an odd n
+    FROZEN = {
+        2**16: [
+            ("0x1.9eb748e1688a4p+2", "0x1.52cf531a347d4p+2", "0x1.0e67542ebd333p+7"),
+            ("0x1.05e465c896db1p+0", "0x1.885ad3bcc06b9p-1", "0x1.a9919e4a39d70p+10"),
+            ("0x1.7768c583bf9acp-2", "-0x1.9220875a34ec0p-1", "-0x1.8b5199d24d678p+10"),
+        ],
+        3001: [
+            ("0x1.d765d5697318cp+0", "-0x1.93b8f2d11bf7bp-1", "0x1.cee8ade777861p+4"),
+            ("-0x1.424b0f5fd4506p-1", "0x1.36788d215c6acp-3", "0x1.ce7b692a728b0p+6"),
+            ("-0x1.a40316ab96e29p-2", "-0x1.7a6da1d5c77eep-1", "-0x1.c642c0d979ed2p+9"),
+        ],
+    }
+
+    @pytest.mark.parametrize("n", list(FROZEN))
+    def test_bits(self, n):
+        dt = 0.05
+        record = gen_from_psd(_carrier_psd, n * dt, dt, seed=23)
+        c, s = quadratures(demodulate(record, DemodConfig(10.0, 2.0)))
+        got = [(x[0].hex(), x[-1].hex(), math.fsum(x).hex())
+               for x in (record.samples, c.samples, s.samples)]
+        assert record.n == n
+        assert got == self.FROZEN[n]
 
 
 class TestQuadratures:
