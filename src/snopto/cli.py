@@ -27,6 +27,7 @@ here; curves are emitted as plot-ready CSV.
 """
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -48,7 +49,7 @@ from .feasibility import (
     post_report,
     pre_report,
 )
-from .gaussian_dynamics import GaussianState, evolve_moments
+from .gaussian_dynamics import GaussianState, _moment_blocks
 from .materials import builtin_table, derive, get_material
 from .response import frequency_grid, gamma_squared
 from .spectra import (
@@ -243,18 +244,26 @@ def _emit_json(path: Path, command: str, conf: dict, result) -> None:
 _CSV_BLOCK_ROWS = 4096  # rows formatted per write; bounds the text held at once
 
 
-def _emit_csv(path: Path, command: str, conf: dict, columns: dict) -> None:
+def _emit_csv(path: Path, command: str, conf: dict, columns, names=None) -> None:
+    """Header lines of conf, then the rows at %.17g.
+
+    columns is a dict of name -> column, or an iterable of row blocks, each
+    a (rows, len(names)) array, written as it comes so that only one block
+    is held at a time.
+    """
+    if isinstance(columns, dict):
+        names = list(columns)
+        data = np.column_stack([np.asarray(c, dtype=float) for c in columns.values()])
+        columns = (data[start:start + _CSV_BLOCK_ROWS] for start in range(0, len(data), _CSV_BLOCK_ROWS))
     lines = [f"command = {command}", f"version = {__version__}"]
     lines += [f"{k} = {v!r}" if isinstance(v, float) else f"{k} = {v}" for k, v in conf.items()]
-    lines.append(", ".join(columns))
-    data = np.column_stack([np.asarray(c, dtype=float) for c in columns.values()])
+    lines.append(", ".join(names))
     # the bytes np.savetxt(path, data, fmt="%.17g", header=...) writes, with
     # one string format per block of rows instead of one per row
-    row_fmt = " ".join(["%.17g"] * data.shape[1]) + "\n"
+    row_fmt = " ".join(["%.17g"] * len(names)) + "\n"
     with open(path, "w") as fh:
         fh.write("# " + "\n# ".join(lines) + "\n")
-        for start in range(0, len(data), _CSV_BLOCK_ROWS):
-            block = data[start:start + _CSV_BLOCK_ROWS]
+        for block in columns:
             fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
@@ -457,23 +466,16 @@ def cmd_dynamics(args) -> int:
     conf = resolve(args, _SPECS["dynamics"])
     exp = _experiment(conf)
     state = GaussianState.ground(exp.osc).squeezed(conf["squeeze"]).displaced(conf["x0"], conf["p0"])
-    traj = evolve_moments(
-        state, exp.osc, conf["t_final"],
-        dt=conf["dt"], sn_weight=conf["sn_weight"], store_every=conf["store_every"],
-    )
-    if traj.times.size > 1:
-        conf["dt"] = float(traj.times[1] - traj.times[0]) / conf["store_every"]
+    blocks = _moment_blocks(state, exp.osc, conf["t_final"], conf["dt"], conf["sn_weight"], conf["store_every"])
+    first = next(blocks)
+    times = first[0]
+    if times.size > 1:
+        conf["dt"] = float(times[1] - times[0]) / conf["store_every"]
     out = _outdir(args)
     stem = f"dynamics_{conf['material']}_seed{conf['seed']}"
-    _emit_csv(out / f"{stem}.csv", "dynamics", conf, {
-        "t": traj.times,
-        "mean_x": traj.mean_x,
-        "mean_p": traj.mean_p,
-        "var_xx": traj.var_xx,
-        "cov_xp": traj.cov_xp,
-        "var_pp": traj.var_pp,
-        "energy": traj.energy,
-    })
+    _emit_csv(out / f"{stem}.csv", "dynamics", conf,
+              (np.column_stack(block) for block in itertools.chain([first], blocks)),
+              names=["t", "mean_x", "mean_p", "var_xx", "cov_xp", "var_pp", "energy"])
     print(out / f"{stem}.csv")
     return 0
 

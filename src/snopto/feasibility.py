@@ -254,11 +254,11 @@ def optimize_beta(gamma_sq: float, gamma_m: float, p: float = 10.0, n_grid: int 
     )
 
 
-def _common_flags(config: ExperimentConfig, beta_used: float, fwhm: float) -> dict:
+def _common_flags(config: ExperimentConfig, beta_used: float, fwhm: float, recommended: float) -> dict:
+    """Flags both reports share; recommended is beta_limit(...).recommended."""
     osc = config.osc
-    bl = beta_limit(osc, config.material)
     return {
-        "beta_limit": beta_used <= bl.recommended * (1.0 + 1e-12),
+        "beta_limit": beta_used <= recommended * (1.0 + 1e-12),
         "narrowband": fwhm <= 1e-3 * osc.omega_q,
         "peak_separation": abs(osc.omega_q - osc.omega_cm) > 10.0 * fwhm,
         # the trap should contribute at most a tenth of omega_q^2, so the
@@ -280,14 +280,15 @@ def pre_report(config: ExperimentConfig, beta: float = None) -> FeasibilityRepor
         anchored_law(k, config) for k in ("pre_tau_scaled", "pre_input_power", "pre_peak_height")
     )
     osc = config.osc
+    recommended = beta_limit(osc, config.material).recommended
     if beta is None:
-        beta = beta_limit(osc, config.material).recommended
+        beta = recommended
     if beta <= 0:
         raise DomainError(f"beta must be > 0, got {beta}")
     feat = pre_feature(SpectrumParams.from_beta(osc, beta))
     g2_exact = gamma_squared(osc)
     g2_approx = gamma_squared_approx(osc)
-    flags = _common_flags(config, beta, feat.fwhm)
+    flags = _common_flags(config, beta, feat.fwhm, recommended)
     flags["gamma_sq_regime"] = abs(g2_approx / g2_exact - 1.0) <= 0.1
     flags["fit_range"] = height >= 10.0
     return FeasibilityReport(
@@ -317,7 +318,7 @@ def post_report(config: ExperimentConfig, beta: float = None) -> FeasibilityRepo
     if beta <= 0:
         raise DomainError(f"beta must be > 0, got {beta}")
     feat = post_feature(SpectrumParams.from_beta(osc, beta))
-    flags = _common_flags(config, beta, feat.fwhm)
+    flags = _common_flags(config, beta, feat.fwhm, beta_limit(osc, config.material).recommended)
     flags["gamma_sq_regime"] = g2 < 0.1
     flags["fit_range"] = feat.amplitude < 0.9
     return FeasibilityReport(

@@ -154,12 +154,44 @@ def evolve_moments(
     B = S^store_every, only the recording thins out. The energy column uses
     the given sn_weight so the conservation control can be run side by side.
 
-    Records are filled in chunks of m = min(n_rec, 1024) without a loop over
-    steps: the powers P_j = B^j (j < m) are built once, each from the
-    previous one, the chunk anchors follow a_{k+1} = (B P_{m-1}) a_k, and
-    record k m + j is P_j a_k. This is the same discrete flow as applying B
-    once per record, but the roundings fall in another order, so the records
-    agree with one-step application to rounding, not bit for bit.
+    The records are the blocks of _moment_blocks joined end to end.
+    """
+    times, moments, energy = (
+        np.concatenate(parts)
+        for parts in zip(*_moment_blocks(state0, osc, t_final, dt, sn_weight, store_every))
+    )
+    return MomentTrajectory(
+        times=times,
+        mean_x=moments[:, 0],
+        mean_p=moments[:, 1],
+        var_xx=moments[:, 2],
+        cov_xp=moments[:, 3],
+        var_pp=moments[:, 4],
+        energy=energy,
+    )
+
+
+def _moment_blocks(
+    state0: GaussianState,
+    osc: OscillatorConfig,
+    t_final: float,
+    dt: float | None,
+    sn_weight: float,
+    store_every: int,
+):
+    """Yield the records of evolve_moments as (t, moments, energy) blocks.
+
+    moments is (rows, 5) in the order mean_x, mean_p, var_xx, cov_xp,
+    var_pp. Records are filled in chunks of m = min(n_rec, 1024) without a
+    loop over steps: the powers P_j = B^j (j < m) are built once, each from
+    the previous one, the chunk anchors follow a_{k+1} = (B P_{m-1}) a_k,
+    and record k m + j is P_j a_k. This is the same discrete flow as
+    applying B once per record, but the roundings fall in another order, so
+    the records agree with one-step application to rounding, not bit for
+    bit. A block holds four chunks (4096 rows at m = 1024), so memory does
+    not grow with t_final; a short last block is still computed four chunks
+    wide and cut, so every einsum call sees the same operand shapes.
+    Arguments are checked when the first block is drawn.
     """
     wq = osc.omega_q
     if wq <= 0:
@@ -190,22 +222,18 @@ def evolve_moments(
     for j in range(1, m):
         powers[j] = block @ powers[j - 1]
     jump = block @ powers[-1]
-    anchors = np.empty(((n_rec + m - 1) // m, 5))
-    anchors[0] = [state0.mean_x, state0.mean_p, state0.var_xx, state0.cov_xp, state0.var_pp]
-    for k in range(1, len(anchors)):
-        anchors[k] = jump @ anchors[k - 1]
-    out = np.einsum("jab,kb->kja", powers, anchors).reshape(-1, 5)[:n_rec]
-
-    times = np.arange(n_rec) * (dt * store_every)
-    return MomentTrajectory(
-        times=times,
-        mean_x=out[:, 0],
-        mean_p=out[:, 1],
-        var_xx=out[:, 2],
-        cov_xp=out[:, 3],
-        var_pp=out[:, 4],
-        energy=_energy(out[:, 0], out[:, 1], out[:, 2], out[:, 4], osc, sn_weight),
-    )
+    anchors = np.empty((min(4, -(-n_rec // m)), 5))
+    anchor = np.array([state0.mean_x, state0.mean_p, state0.var_xx, state0.cov_xp, state0.var_pp])
+    rows = len(anchors) * m
+    for start in range(0, n_rec, rows):
+        anchors[0] = anchor
+        for k in range(1, len(anchors)):
+            anchors[k] = jump @ anchors[k - 1]
+        anchor = jump @ anchors[-1]
+        stop = min(start + rows, n_rec)
+        out = np.einsum("jab,kb->kja", powers, anchors).reshape(-1, 5)[: stop - start]
+        times = np.arange(start, stop) * (dt * store_every)
+        yield times, out, _energy(out[:, 0], out[:, 1], out[:, 2], out[:, 4], osc, sn_weight)
 
 
 def ellipse_angle(traj: MomentTrajectory, osc: OscillatorConfig) -> np.ndarray:

@@ -28,7 +28,10 @@ feature should use durations well beyond 1/gamma, e.g. the default 200/gamma.
 
 Demodulation mixes a band around a carrier down to zero frequency:
 forward transform, keep the bins in [center - sigma, center + sigma],
-inverse transform, multiply by exp(-i center t). Since the kept band
+inverse transform, multiply by exp(-i center t). The band mask and the
+mixing run in place, and gen_from_psd scales its draw in place and returns
+a record that owns its samples, so neither holds more than two complex
+arrays of the record's length at once. Since the kept band
 lives entirely at positive frequencies the complex baseband is proper
 (its pseudo-spectrum would need support at -2 center, which is outside
 the band), which is exactly why its real and imaginary parts come out as
@@ -406,14 +409,20 @@ def gen_from_psd(psd, duration: float, dt: float, seed: int) -> BasebandSeries:
     up to resolution, which is all the full-record demodulation tests need.
     """
     n = _record_length(duration, dt)
-    omega = 2 * np.pi * np.fft.fftfreq(n, d=dt)
-    lam = np.asarray(psd(omega), dtype=float) / dt
+    lam = np.asarray(psd(2 * np.pi * np.fft.fftfreq(n, d=dt)), dtype=float) / dt
     if lam.min() < 0:
         raise DomainError(f"psd must be >= 0 everywhere (min {lam.min():.3e})")
     rng = trial_rng(int(seed), 0)
-    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    samples = np.fft.fft(z * np.sqrt(lam / n)).real
-    return BasebandSeries(dt=dt, samples=samples, seed=int(seed), model_tag="psd")
+    z = np.empty(n, dtype=complex)
+    z.real = rng.standard_normal(n)
+    z.imag = rng.standard_normal(n)
+    lam /= n
+    z *= np.sqrt(lam)
+    del lam
+    spec = np.fft.fft(z)
+    del z
+    # a contiguous copy, so the record does not pin the complex transform
+    return BasebandSeries(dt=dt, samples=spec.real.copy(), seed=int(seed), model_tag="psd")
 
 
 def demodulate(series: BasebandSeries, cfg: DemodConfig) -> ComplexBaseband:
@@ -429,10 +438,18 @@ def demodulate(series: BasebandSeries, cfg: DemodConfig) -> ComplexBaseband:
             f" frequency {nyquist:.4g} rad/s"
         )
     n = series.n
-    spec = np.fft.fft(series.samples)
     omega = 2 * np.pi * np.fft.fftfreq(n, d=series.dt)
     keep = (omega >= cfg.center - cfg.halfwidth_sigma) & (omega <= cfg.center + cfg.halfwidth_sigma)
-    xi = np.fft.ifft(spec * keep) * np.exp(-1j * cfg.center * series.times)
+    del omega
+    spec = np.fft.fft(series.samples)
+    spec *= keep
+    xi = np.fft.ifft(spec)
+    del spec
+    # exp(-i center t), formed in place from its purely imaginary exponent
+    mixer = np.zeros(n, dtype=complex)
+    np.multiply(np.arange(n, dtype=float), series.dt, out=mixer.imag)
+    mixer.imag *= -cfg.center
+    xi *= np.exp(mixer, out=mixer)
     return ComplexBaseband(
         dt=series.dt,
         samples=xi,

@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -235,6 +236,22 @@ class TestDynamics:
                      "--outdir", str(tmp_path)]) == 0
         digest = hashlib.sha256((tmp_path / "dynamics_W_seed0.csv").read_bytes()).hexdigest()
         assert digest == self.FROZEN_CSV[store_every, t_final]
+
+    def test_memory_does_not_grow_with_t_final(self, tmp_path):
+        # rows stream to the file in blocks of 4096, so 4637 rows and ten
+        # times as many peak alike, up to the slack of string formatting;
+        # holding the longer record would add 2.3 MB per copy
+        peaks = []
+        for t_final in ("80", "800"):
+            tracemalloc.start()
+            try:
+                assert main(["dynamics", "--t-final", t_final, "--outdir", str(tmp_path / t_final)]) == 0
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        assert peaks[1] < peaks[0] + 2**20
+        assert peaks[1] < 4 * 2**20
 
     def test_requires_t_final(self, capsys):
         assert main(["dynamics"]) == 2

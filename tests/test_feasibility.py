@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from snopto import feasibility
 from snopto.constants import AMU
 from snopto.detect import fit_prediction
 from snopto.errors import ConfigError, DomainError
@@ -28,6 +29,7 @@ from snopto.feasibility import (
 )
 from snopto.materials import MaterialSpec, get_material, omega_sn
 from snopto.response import OpticalConfig, OscillatorConfig, gamma_squared
+from snopto.spectra import beta_limit
 
 
 def anchor_pre_config() -> ExperimentConfig:
@@ -415,6 +417,18 @@ class TestReports:
         assert hot.tau_min_scaled == base.tau_min_scaled
         assert hot.input_power == base.input_power
         assert hot.peak_height_or_dip == base.peak_height_or_dip
+
+    @pytest.mark.parametrize("report", [pre_report, post_report])
+    def test_strength_limit_evaluated_once(self, monkeypatch, report):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return beta_limit(*args)
+
+        monkeypatch.setattr(feasibility, "beta_limit", counted)
+        report(ExperimentConfig.reference_pre())
+        assert len(calls) == 1
 
     def test_post_beta_override_changes_feature_not_laws(self):
         cfg = ExperimentConfig.reference_post()

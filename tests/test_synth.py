@@ -1,6 +1,7 @@
 """Generators against their own covariance targets, demodulation bookkeeping."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -385,6 +386,27 @@ class TestDemodulatedRecordFrozen:
                for x in (record.samples, c.samples, s.samples)]
         assert record.n == n
         assert got == self.FROZEN[n]
+
+
+class TestDemodulationMemory:
+    def test_record_owns_its_samples(self):
+        # a view of the complex transform would pin 16 B per sample
+        record = gen_from_psd(_carrier_psd, 3001 * 0.05, 0.05, seed=1)
+        assert record.samples.flags.owndata
+
+    def test_peak_bytes_per_sample(self):
+        # out-of-place synthesis and mixing peaked at 89 B per sample, the
+        # in-place pair at 49 (record 8, two complex arrays 32, one real
+        # temporary 8)
+        n, dt = 2**18, 0.05
+        tracemalloc.start()
+        try:
+            record = gen_from_psd(_carrier_psd, n * dt, dt, seed=2)
+            demodulate(record, DemodConfig(10.0, 2.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / n < 64
 
 
 class TestQuadratures:
