@@ -103,6 +103,12 @@ class TestMaterial:
         lines = [l for l in capsys.readouterr().out.splitlines() if l.strip()]
         assert len(lines) == 1 + 7
 
+    def test_all_rows_frozen(self, capsys):
+        # sha256 of the whole table as printed
+        assert main(["material", "--all"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "7e10546b64dade70535658771d8d16d61f5493991984c1eda386cf4c318cc048"
+
     def test_unknown(self, capsys):
         assert main(["material", "Xx"]) == 2
         assert "unknown material" in capsys.readouterr().err
@@ -141,6 +147,25 @@ class TestSpectrum:
         assert payload["result"]["feature"]["kind"] == "dip"
         assert payload["config"]["beta"] == pytest.approx(1e4, rel=1e-12)
 
+
+    # sha256 of the CSV and the JSON per prescription at the defaults
+    FROZEN = {
+        "qm": ("c61338bd91f86458b65a10cd918e1832a45ffbaf533d17033b18b86f7c458804",
+               "e12d6e697663abcd2c1925a4678b8d1fbf78a99803fc39ab79baa57ed13d7afc"),
+        "pre": ("02ef8d3f3faa1824e0130caf7e08bd7adac843997cf5d763b394c38d6a288af8",
+                "65dd7827b618ff8d888c8dc4e4ba868680fa696bdb34594aace0d59781e39522"),
+        "post": ("30e8ae8c7e093dcabeaa67fac18a69d1c90ba68bf1e9568feaa6cfbfe29a1b42",
+                 "41131efbc635151149375ebaecd9033f81620b266f824abb7487d96d7895c0ea"),
+    }
+
+    @pytest.mark.parametrize("prescription", list(FROZEN))
+    def test_default_files_frozen(self, tmp_path, prescription):
+        assert main(["spectrum", "--prescription", prescription, "--outdir", str(tmp_path)]) == 0
+        got = tuple(
+            hashlib.sha256((tmp_path / f"spectrum_{prescription}_seed0.{ext}").read_bytes()).hexdigest()
+            for ext in ("csv", "json")
+        )
+        assert got == self.FROZEN[prescription]
 
     def test_config_round_trip(self, tmp_path):
         # beta from beta_limit, beta from the optics (--i-in), and a material

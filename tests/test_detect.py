@@ -209,6 +209,22 @@ class TestWhittle:
             q_w = float(np.sum(np.abs(np.fft.fft(x)) ** 2 / n / f))
             assert abs(q_w - q_exact) / q_exact < 10.0 / n
 
+    # float.hex of the Whittle log-likelihood of a record drawn under each
+    # featured law (seed 31, dt 0.14) and scored under that law
+    FROZEN = {
+        ("dip", 300): "-0x1.64319a72b4ebbp+9",
+        ("dip", 1429): "-0x1.a82d7683c8b54p+11",
+        ("peak", 300): "-0x1.72564a4e0f98fp+9",
+        ("peak", 1429): "-0x1.b905c4775c379p+11",
+    }
+
+    @pytest.mark.parametrize("kind,n", list(FROZEN))
+    def test_frozen_bits(self, kind, n):
+        model = {"dip": DIP, "peak": PEAK}[kind]
+        s = gen_baseband(model, n * 0.14, 0.14, seed=31)
+        assert s.n == n
+        assert whittle_log_likelihood(s, model).hex() == self.FROZEN[kind, n]
+
     def test_unknown_method_rejected(self):
         s = gen_baseband(FLAT, 50.0, 0.14, seed=3)
         with pytest.raises(ConfigError):
@@ -522,6 +538,20 @@ class TestThresholdSearch:
         assert y_th == max(v for v, w in zip(levels, worst) if w == got)
         assert ok == (got <= 0.3)
 
+    # (feasible at p = 0.3, y_th, worst) per level case, as float.hex
+    FROZEN_SEARCH = {
+        "ties": (False, "0x0.0p+0", "0x1.999999999999ap-2"),
+        "zeros": (False, "0x0.0p+0", "0x1.0000000000000p+0"),
+        "single": (True, "0x0.0p+0", "0x0.0p+0"),
+        "tied-minimum": (False, "0x1.0000000000000p+0", "0x1.5555555555555p-2"),
+        "rounded-normals": (False, "0x1.999999999999ap-2", "0x1.999999999999ap-2"),
+    }
+
+    @level_cases
+    def test_search_frozen(self, request, yf, ya):
+        ok, y_th, worst = threshold_search(np.asarray(yf, dtype=float), np.asarray(ya, dtype=float), 0.3)
+        assert (ok, y_th.hex(), worst.hex()) == self.FROZEN_SEARCH[request.node.callspec.id]
+
 
 class TestFitPrediction:
     def test_peak_frozen_values(self):
@@ -699,6 +729,45 @@ class TestTauMin:
         assert oks[:2] == [False, True] and len(oks) > 2  # one doubling, then bisection
         assert [n for n, *_ in res.probes] == [72, 144, 108, 90, 81, 85, 87]
         assert len(made) == 2 * self.SEEDS_PER_PASS
+
+    # the full probe traces of the three pass-count runs above, (n,
+    # feasible, y_th, worst) with y_th and worst as float.hex
+    FROZEN_PROBES = {
+        "first-octave": [
+            (6, True, "0x1.48b36923e7f94p-1", "0x1.47ae147ae147bp-4"),
+            (3, False, "0x1.9c28950d616d2p-1", "0x1.23d70a3d70a3dp-3"),
+            (4, False, "0x1.ba5c094ececb4p-1", "0x1.d70a3d70a3d71p-4"),
+            (5, True, "0x1.7fe505677ddb4p-1", "0x1.851eb851eb852p-4"),
+        ],
+        "deeper-bracket": [
+            (57, True, "0x1.b8271a8eb84acp-3", "0x1.5c28f5c28f5c3p-2"),
+            (28, True, "0x1.35d33ce26dc36p-3", "0x1.947ae147ae148p-2"),
+            (14, True, "0x1.8eb74529def70p-4", "0x1.999999999999ap-2"),
+            (7, False, "0x1.779ca8e5b7882p-5", "0x1.9c28f5c28f5c3p-2"),
+            (10, False, "0x1.1002ee805bf7ap-4", "0x1.9c28f5c28f5c3p-2"),
+            (12, True, "0x1.3b9a698a7d1cbp-4", "0x1.947ae147ae148p-2"),
+            (11, False, "0x1.1f8847cfdba08p-4", "0x1.9c28f5c28f5c3p-2"),
+        ],
+        "doubling": [
+            (72, False, "0x1.5e492502046a0p-1", "0x1.eb851eb851eb8p-4"),
+            (144, True, "0x1.e0d7d75504630p-1", "0x1.5c28f5c28f5c3p-5"),
+            (108, True, "0x1.d6c73e44895f0p-1", "0x1.1eb851eb851ecp-4"),
+            (90, True, "0x1.9b814bd44fbb0p-1", "0x1.851eb851eb852p-4"),
+            (81, False, "0x1.777eb69c85a18p-1", "0x1.b851eb851eb85p-4"),
+            (85, False, "0x1.b60f3177533c0p-1", "0x1.a3d70a3d70a3dp-4"),
+            (87, False, "0x1.b56de890c97b8p-1", "0x1.a3d70a3d70a3dp-4"),
+        ],
+    }
+
+    @pytest.mark.parametrize("name,alt,p,seed", [
+        ("first-octave", BasebandModel("peak", amplitude=300.0, fwhm_gamma=1.0), 0.10, 0),
+        ("deeper-bracket", DIP, 0.40, 0),
+        ("doubling", BasebandModel("peak", amplitude=10.0, fwhm_gamma=1.0), 0.10, 1),
+    ])
+    def test_probe_traces_frozen(self, name, alt, p, seed):
+        res = tau_min(HypothesisPair(FLAT, alt), p, n_trials=400, master_seed=seed)
+        got = [(n, ok, y_th.hex(), worst.hex()) for n, ok, y_th, worst in res.probes]
+        assert got == self.FROZEN_PROBES[name]
 
     def test_one_stream_per_block_of_trials(self, monkeypatch):
         # one nested pass over 1e4 trials seeds 2 truths x 40 blocks, not 2e4 trials

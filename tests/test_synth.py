@@ -203,6 +203,20 @@ class TestGeneratorBasics:
         assert z.size == 10000
         assert stats.kstest(z, "norm").pvalue > 0.01
 
+    # float.hex of (first, last, math.fsum) of a 1429-sample record per
+    # law at dt 0.14, seed 37
+    FROZEN = {
+        "flat": ("0x1.1599aa6a84e91p+1", "0x1.696e8c65b70f5p+1", "-0x1.140625e6c60b0p+7"),
+        "peak": ("0x1.428ad78756cd9p+1", "0x1.2341ea1682b06p+1", "-0x1.c50a1716372adp+8"),
+        "dip": ("0x1.12925fcaf2735p+1", "0x1.754d2e4c6fcf0p+1", "-0x1.57f72c080d91fp+6"),
+    }
+
+    @pytest.mark.parametrize("model", [FLAT, PEAK, DIP], ids=lambda m: m.kind)
+    def test_frozen_bits(self, model):
+        x = gen_baseband(model, 1429 * 0.14, 0.14, seed=37).samples
+        assert x.size == 1429
+        assert (x[0].hex(), x[-1].hex(), math.fsum(x).hex()) == self.FROZEN[model.kind]
+
     def test_trial_rng_rule_is_stable(self):
         # the documented derivation: SeedSequence(entropy=s, spawn_key=(i,))
         a = trial_rng(12345, 7).standard_normal(4)
@@ -236,6 +250,14 @@ class TestSeedContract:
         assert np.array_equal(base, _block(4, (), 0, 8))
         assert not np.array_equal(base, normals(4, (0,), 8, 0, 256))
         assert not np.array_equal(base, normals(5, (), 8, 0, 256))
+
+    @pytest.mark.parametrize("lo,hi", [(0, 0), (0, 3), (300, 300)])
+    def test_negative_seed_rejected(self, lo, hi):
+        # also when the trial range is empty and no stream is drawn
+        with pytest.raises(ConfigError, match="master seed"):
+            normals(-1, (), 4, lo, hi)
+        with pytest.raises(ConfigError, match="master seed"):
+            trial_rng(-1, 0)
 
     def test_ensemble_rows_do_not_depend_on_its_size(self):
         x = gen_ensemble(PEAK, 40 * 0.14, 0.14, master_seed=3, n_trials=300)
