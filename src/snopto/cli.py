@@ -382,14 +382,14 @@ def _experiment(conf) -> ExperimentConfig:
 def cmd_material(args) -> int:
     """builtin material table"""
     if args.all:
-        specs = [spec for spec, _ in builtin_table()]
+        table = builtin_table()
     elif args.name:
-        specs = [get_material(args.name)]
+        spec = get_material(args.name)
+        table = [(spec, derive(spec))]
     else:
         raise ConfigError("give a material name or --all")
     rows = []
-    for spec in specs:
-        d = derive(spec)
+    for spec, d in table:
         rows.append({
             "name": spec.name,
             "atomic_mass_amu": spec.atomic_mass / AMU,
@@ -434,7 +434,7 @@ def cmd_spectrum(args) -> int:
     elif conf["npoints"] is not None:
         raise ConfigError("--npoints needs --wmin and --wmax")
     else:
-        grid = default_grid(params, prescription if prescription == "post" else "pre")
+        grid = default_grid(params, prescription)
     spectrum = evaluate(prescription, grid, params)
 
     if prescription == "pre":

@@ -172,8 +172,7 @@ def whittle_log_likelihood(series: BasebandSeries, model: BasebandModel) -> floa
     if model.kind == "flat" or model.amplitude == 0.0:
         return _flat_log_likelihood(x, dt)
     theta = 2 * np.pi * np.arange(n) / n
-    rho = math.exp(-model.fwhm_gamma * dt / 2)
-    s = model._sign * model.amplitude * model.fwhm_gamma / 4.0
+    s, rho = model.pole(dt)
     f = 1.0 / dt + s * (1 - rho**2) / (1 - 2 * rho * np.cos(theta) + rho**2)
     if f.min() <= 0:
         raise DomainError("Whittle spectrum is not positive")
@@ -300,14 +299,6 @@ def _y_table(
         return np.concatenate([f.result() for f in futs], axis=1)
 
 
-def _check_ensemble(truth: BasebandModel, pair: HypothesisPair, dt: float, n_trials: int):
-    if n_trials < 1:
-        raise ConfigError("n_trials must be >= 1")
-    _check_resolution(truth, dt)
-    if pair.alt_model.amplitude > 0:
-        _check_resolution(pair.alt_model, dt)
-
-
 def y_ensemble(
     truth: BasebandModel,
     pair: HypothesisPair,
@@ -319,7 +310,11 @@ def y_ensemble(
 ) -> np.ndarray:
     """n_trials independent draws of Y under the given truth."""
     n = _record_length(duration, dt)
-    _check_ensemble(truth, pair, dt, n_trials)
+    if n_trials < 1:
+        raise ConfigError("n_trials must be >= 1")
+    _check_resolution(truth, dt)
+    if pair.alt_model.amplitude > 0:
+        _check_resolution(pair.alt_model, dt)
     return _y_table(truth, pair.alt_model, [n], dt, n_trials, master_seed, (), jobs)[0]
 
 
@@ -373,26 +368,14 @@ def outcome_probs(
 # -------------------------------------------------------- threshold search
 
 
-def _levels(af: np.ndarray, aa: np.ndarray) -> np.ndarray:
-    """Zero and every distinct value of af and aa, ascending.
-
-    np.unique would do, but it imports numpy.ma on first use; a neighbour
-    mask over the sorted values keeps the same first-of-each-run values.
-    """
-    cand = np.concatenate([af, aa, [0.0]])
-    cand.sort()
-    keep = np.ones(cand.size, dtype=bool)
-    keep[1:] = cand[1:] != cand[:-1]
-    return cand[keep]
-
-
 def threshold_search(y_flat: np.ndarray, y_alt: np.ndarray, confidence_p: float):
     """Best threshold for two empirical Y ensembles.
 
     Sweeps every level at which any verdict count can change (the merged
-    absolute values of both ensembles, plus zero) and evaluates the four
-    failure rates of _verdict_rates there: wrong and undecided under each
-    truth. Returns
+    absolute values of both ensembles, plus zero, ascending) and evaluates
+    the four failure rates of _verdict_rates there: wrong and undecided
+    under each truth. A level that repeats scores alike each time, so
+    repeats are swept as they are rather than removed. Returns
     (feasible, y_th, worst) where worst is the largest of the four at the
     chosen threshold; the threshold minimizes worst, with ties broken
     toward the larger (more cautious) value. Feasible means worst <= p.
@@ -404,7 +387,8 @@ def threshold_search(y_flat: np.ndarray, y_alt: np.ndarray, confidence_p: float)
     sa = np.sort(y_alt)
     af = np.sort(np.abs(y_flat))
     aa = np.sort(np.abs(y_alt))
-    cand = _levels(af, aa)
+    cand = np.concatenate([af, aa, [0.0]])
+    cand.sort()
 
     # wrong and undecided under the flat truth, then under the alt; the
     # running maximum keeps one rate array alive at a time

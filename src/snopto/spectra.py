@@ -33,7 +33,7 @@ import numpy as np
 
 from .constants import HBAR
 from .errors import ConfigError, DomainError
-from .materials import MaterialSpec, delta_x_zp as _dx_from_b
+from .materials import MaterialSpec, delta_x_zp
 from .response import (
     OpticalConfig,
     OscillatorConfig,
@@ -179,14 +179,14 @@ def evaluate(prescription: str, omega, params: SpectrumParams) -> OutputSpectrum
 
 def pre_feature(params: SpectrumParams) -> LorentzianFeature:
     """Closed-form peak: h = beta (beta + 2) / (2 (1/2 + beta gamma_sq)), width gamma_m."""
-    b, g2 = params.beta, params.gamma_sq
+    b, baseline = params.beta, params.baseline
     return LorentzianFeature(
         kind="peak",
         prescription="pre",
         center=params.omega_q,
-        amplitude=b * (b + 2.0) / (2.0 * (0.5 + b * g2)),
+        amplitude=b * (b + 2.0) / (2.0 * baseline),
         fwhm=params.osc.gamma_m,
-        baseline=0.5 + b * g2,
+        baseline=baseline,
         valid_narrowband=params.well_resolved,
     )
 
@@ -198,14 +198,14 @@ def dip_depth(beta: float, gamma_sq: float) -> float:
 
 def post_feature(params: SpectrumParams) -> LorentzianFeature:
     """Closed-form dip: depth dip_depth(beta, gamma_sq), width (beta + 1) gamma_m."""
-    b, g2 = params.beta, params.gamma_sq
+    b = params.beta
     return LorentzianFeature(
         kind="dip",
         prescription="post",
         center=params.omega_q,
-        amplitude=dip_depth(b, g2),
+        amplitude=dip_depth(b, params.gamma_sq),
         fwhm=(b + 1.0) * params.osc.gamma_m,
-        baseline=0.5 + b * g2,
+        baseline=params.baseline,
         valid_narrowband=params.well_resolved,
     )
 
@@ -220,20 +220,14 @@ class BetaLimit(NamedTuple):
     recommended: float  # limit / 10
 
 
-def beta_limit(osc: OscillatorConfig, material) -> BetaLimit:
+def beta_limit(osc: OscillatorConfig, material: MaterialSpec) -> BetaLimit:
     """Largest beta before the measured spread reaches the lattice zero-point spread.
 
     Requiring delta_x_cm <= sqrt(2) delta_x_zp gives
     beta <= 2 delta_x_zp^2 / (hbar / 2 M omega_q); running at a tenth of that
-    keeps the rigid-lattice picture comfortably valid. `material` may be a
-    MaterialSpec or a raw delta_x_zp in meters.
+    keeps the rigid-lattice picture comfortably valid.
     """
-    if isinstance(material, MaterialSpec):
-        dx = _dx_from_b(material.debye_waller_B)
-    else:
-        dx = float(material)
-        if dx <= 0:
-            raise DomainError(f"delta_x_zp must be > 0, got {dx}")
+    dx = delta_x_zp(material.debye_waller_B)
     lim = 2.0 * dx**2 / (HBAR / (2.0 * osc.mass * osc.omega_q))
     return BetaLimit(limit=lim, recommended=lim / 10.0)
 

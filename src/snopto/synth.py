@@ -46,9 +46,10 @@ spawn_key=p + (b,))), filled time-major: its first n draws of 256 are the
 first standard normals of those 256 trials, so trial i is column i % 256 of
 block i // 256 and its record is the exact factor applied to that column.
 A partial last block still draws its full width, so no trial depends on
-how many trials run, or how they are split into chunks or workers. The
-rule is implemented once, in _tiles, which draws it in short time tiles;
-normals and the Monte Carlo engine both read it there, and the tile
+how many trials run, or how they are split into chunks or workers. Every
+stream, of a block or of a single record, is built once, by _stream; the
+block rule is implemented once, in _tiles, which draws it in short time
+tiles; normals and the Monte Carlo engine both read it there, and the tile
 length changes no draw.
 gen_ensemble uses the prefix (); the duration search of the detect module
 keys truth t (0 flat, 1 featured) by the prefix (t,) and uses nested
@@ -109,6 +110,11 @@ class BasebandModel:
     def _sign(self) -> float:
         return {"flat": 0.0, "peak": 1.0, "dip": -1.0}[self.kind]
 
+    def pole(self, dt: float) -> tuple:
+        """(s, rho) of the covariance r_k = s rho^k at step dt; rho is 0 when s is 0."""
+        s = self._sign * self.amplitude * self.fwhm_gamma / 4.0
+        return s, (math.exp(-self.fwhm_gamma * dt / 2.0) if s else 0.0)
+
     def psd(self, omega):
         """Double-sided spectrum, unit white floor plus the feature."""
         omega = np.asarray(omega, dtype=float)
@@ -137,10 +143,6 @@ class BasebandSeries:
     @property
     def n(self) -> int:
         return self.samples.size
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(self.n) * self.dt
 
 
 @dataclass(frozen=True)
@@ -274,8 +276,7 @@ def covariance_factor(model: BasebandModel, n: int, dt: float) -> CovarianceFact
         raise ConfigError("need n >= 1")
     if dt <= 0:
         raise ConfigError(f"dt must be > 0, got {dt}")
-    s = model._sign * model.amplitude * model.fwhm_gamma / 4.0
-    rho = math.exp(-model.fwhm_gamma * dt / 2.0) if s else 0.0
+    s, rho = model.pole(dt)
     diag = (1.0 + rho * rho) / dt + s * (1.0 - rho * rho)
     off = -rho / dt
     m = np.empty(n)
@@ -296,11 +297,15 @@ def _check_seed(master_seed: int):
         raise ConfigError(f"master seed must be >= 0, got {master_seed}")
 
 
+def _stream(master_seed: int, key: tuple) -> np.random.Generator:
+    """default_rng(SeedSequence(entropy=master_seed, spawn_key=key)): every stream of the contract."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=master_seed, spawn_key=key))
+
+
 def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
     """One-trial generator of a single record; the documented bit-exact rule."""
     _check_seed(master_seed)
-    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(trial_index,))
-    return np.random.default_rng(ss)
+    return _stream(master_seed, (trial_index,))
 
 
 def _tiles(master_seed: int, prefix: tuple, n: int, lo: int, hi: int):
@@ -314,9 +319,7 @@ def _tiles(master_seed: int, prefix: tuple, n: int, lo: int, hi: int):
     """
     _check_seed(master_seed)
     draws = [
-        np.random.default_rng(
-            np.random.SeedSequence(entropy=master_seed, spawn_key=prefix + (b,))
-        ).standard_normal
+        _stream(master_seed, prefix + (b,)).standard_normal
         for b in range(lo // TRIAL_BLOCK, -(-hi // TRIAL_BLOCK))
     ]
     buf = np.empty((len(draws), min(_TILE_ROWS, n), TRIAL_BLOCK))
@@ -466,10 +469,11 @@ def quadratures(xi: ComplexBaseband) -> tuple[BasebandSeries, BasebandSeries]:
     xi_c = (xi + xi*)/2 is the real part, xi_s = (xi - xi*)/2i the
     imaginary part. Because the demodulation band excludes the mirror
     frequencies the baseband is proper and the two come out statistically
-    independent, each carrying half the band's spectral density.
+    independent, each carrying half the band's spectral density. Both own
+    their samples, so neither pins the complex baseband.
     """
     return (
-        BasebandSeries(xi.dt, xi.samples.real, xi.seed, xi.model_tag + ":c"),
+        BasebandSeries(xi.dt, xi.samples.real.copy(), xi.seed, xi.model_tag + ":c"),
         BasebandSeries(xi.dt, xi.samples.imag.copy(), xi.seed, xi.model_tag + ":s"),
     )
 

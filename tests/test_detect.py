@@ -16,7 +16,6 @@ from snopto.detect import (
     HypothesisPair,
     TauMinResult,
     _erfcinv,
-    _levels,
     estimator_y,
     fit_prediction,
     log_likelihood,
@@ -510,17 +509,6 @@ class TestThresholdSearch:
         ],
         ids=["ties", "zeros", "single", "tied-minimum", "rounded-normals"],
     )
-
-    @level_cases
-    def test_levels_match_unique(self, yf, ya):
-        # the candidate levels: zero and the distinct |Y| of both ensembles
-        af = np.sort(np.abs(np.asarray(yf)))
-        aa = np.sort(np.abs(np.asarray(ya)))
-        got = _levels(af, aa)
-        ref = np.unique(np.concatenate([af, aa, [0.0]]))
-        assert got.dtype == ref.dtype
-        np.testing.assert_array_equal(got, ref)
-        assert not np.signbit(got).any()
 
     @level_cases
     def test_search_matches_brute_force(self, yf, ya):

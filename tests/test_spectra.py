@@ -292,9 +292,9 @@ class TestBetaLimit:
             mass=2 * osc1.mass, omega_cm=osc1.omega_cm, omega_sn=osc1.omega_sn,
             gamma_m=osc1.gamma_m, t0=osc1.t0,
         )
-        dx = 2.46e-12
-        assert sp.beta_limit(osc2, dx).limit == pytest.approx(
-            2 * sp.beta_limit(osc1, dx).limit, rel=1e-12
+        w = get_material("W")
+        assert sp.beta_limit(osc2, w).limit == pytest.approx(
+            2 * sp.beta_limit(osc1, w).limit, rel=1e-12
         )
 
     def test_spread_at_limit_brackets_lattice_spread(self):

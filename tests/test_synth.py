@@ -416,6 +416,12 @@ class TestDemodulationMemory:
         record = gen_from_psd(_carrier_psd, 3001 * 0.05, 0.05, seed=1)
         assert record.samples.flags.owndata
 
+    def test_quadratures_own_their_samples(self):
+        # views of the complex baseband would pin 16 B per sample
+        record = gen_from_psd(_carrier_psd, 3001 * 0.05, 0.05, seed=1)
+        c, s = quadratures(demodulate(record, DemodConfig(10.0, 2.0)))
+        assert c.samples.flags.owndata and s.samples.flags.owndata
+
     def test_peak_bytes_per_sample(self):
         # out-of-place synthesis and mixing peaked at 89 B per sample, the
         # in-place pair at 49 (record 8, two complex arrays 32, one real
