@@ -374,6 +374,19 @@ class TestTauMin:
         assert main(["taumin", "--config", str(emitted), "--outdir", str(rerun)]) == 0
         assert emitted.read_bytes() == (rerun / "taumin_peak_seed4.json").read_bytes()
 
+    # sha256 of the JSON report at both benchmark peak points, (amp, seed)
+    FROZEN = {
+        ("30", "0"): "bcf77c35ef986ae0f0b78a2303551c7728ad222bb828d07ecf0ae127b9ce54aa",
+        ("100", "1"): "b55802a30dec624379b338c3e9ed315ebd377176a37fb25ee66bc72974330b1c",
+    }
+
+    @pytest.mark.parametrize("amp,seed", list(FROZEN))
+    def test_peak_report_frozen(self, tmp_path, amp, seed):
+        assert main(["taumin", "--kind", "peak", "--amp", amp, "--gamma", "1", "--p", "10",
+                     "--n", "10000", "--seed", seed, "--jobs", "1", "--outdir", str(tmp_path)]) == 0
+        report = (tmp_path / f"taumin_peak_seed{seed}.json").read_bytes()
+        assert hashlib.sha256(report).hexdigest() == self.FROZEN[amp, seed]
+
     def test_missing_amp(self, capsys):
         assert main(["taumin", "--kind", "dip"]) == 2
         assert "--amp" in capsys.readouterr().err

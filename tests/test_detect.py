@@ -540,6 +540,46 @@ class TestThresholdSearch:
         ok, y_th, worst = threshold_search(np.asarray(yf, dtype=float), np.asarray(ya, dtype=float), 0.3)
         assert (ok, y_th.hex(), worst.hex()) == self.FROZEN_SEARCH[request.node.callspec.id]
 
+    # (n, feasible at p = 0.1, y_th, worst) on nested Monte Carlo ensembles,
+    # y_th and worst as float.hex: both benchmark peak points at every
+    # length their search probes (1e4 trials), and a dip pass (2000 trials)
+    FROZEN_NESTED = {
+        "peak-h30-seed0": [
+            (16, False, "0x1.54e6d8a21cc6cp-1", "0x1.652bd3c361134p-3"),
+            (24, False, "0x1.6f4e904c95928p-1", "0x1.fd21ff2e48e8ap-4"),
+            (28, False, "0x1.79438dce71748p-1", "0x1.ad42c3c9eecc0p-4"),
+            (29, False, "0x1.7dda991b92dc0p-1", "0x1.9c0ebedfa43fep-4"),
+            (30, True, "0x1.7f848178521e0p-1", "0x1.87fcb923a29c7p-4"),
+            (32, True, "0x1.7c56517e24dd8p-1", "0x1.72474538ef34dp-4"),
+        ],
+        "peak-h100-seed1": [
+            (6, False, "0x1.772413cae194cp-1", "0x1.6b1c432ca57a8p-3"),
+            (9, False, "0x1.7d429bd3c4748p-1", "0x1.09d495182a993p-3"),
+            (11, False, "0x1.945f63ba4996cp-1", "0x1.bda5119ce075fp-4"),
+            (12, False, "0x1.9e92f85a2bd58p-1", "0x1.9b3d07c84b5ddp-4"),
+            (13, True, "0x1.a484bcc332efcp-1", "0x1.7a786c226809dp-4"),
+        ],
+        "dip-d0.62-seed0": [
+            (357, False, "0x1.d5a2e95cc1760p-2", "0x1.83126e978d4fep-3"),
+            (714, False, "0x1.f7cb1d24a0020p-2", "0x1.ccccccccccccdp-4"),
+            (1429, True, "0x1.21d5dd97bc780p-1", "0x1.95810624dd2f2p-5"),
+        ],
+    }
+
+    @pytest.mark.parametrize("name,alt,n_trials,seed", [
+        ("peak-h30-seed0", BasebandModel("peak", amplitude=30.0, fwhm_gamma=1.0), 10000, 0),
+        ("peak-h100-seed1", BasebandModel("peak", amplitude=100.0, fwhm_gamma=1.0), 10000, 1),
+        ("dip-d0.62-seed0", DIP, 2000, 0),
+    ])
+    def test_search_frozen_on_nested_ensembles(self, name, alt, n_trials, seed):
+        ns = [n for n, *_ in self.FROZEN_NESTED[name]]
+        rows = detect._nested_rows(HypothesisPair(FLAT, alt), ns, 0.14, n_trials, seed, 1)
+        got = []
+        for n in ns:
+            ok, y_th, worst = threshold_search(*rows[n], 0.10)
+            got.append((n, ok, y_th.hex(), worst.hex()))
+        assert got == self.FROZEN_NESTED[name]
+
 
 class TestFitPrediction:
     def test_peak_frozen_values(self):
