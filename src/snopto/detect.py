@@ -41,6 +41,7 @@ each recorded length to its (flat, alt) rows of Y.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import asdict, dataclass
 from statistics import NormalDist
@@ -371,36 +372,61 @@ def outcome_probs(
 def threshold_search(y_flat: np.ndarray, y_alt: np.ndarray, confidence_p: float):
     """Best threshold for two empirical Y ensembles.
 
-    Sweeps every level at which any verdict count can change (the merged
-    absolute values of both ensembles, plus zero, ascending) and evaluates
-    the four failure rates of _verdict_rates there: wrong and undecided
-    under each truth. A level that repeats scores alike each time, so
-    repeats are swept as they are rather than removed. Returns
-    (feasible, y_th, worst) where worst is the largest of the four at the
-    chosen threshold; the threshold minimizes worst, with ties broken
-    toward the larger (more cautious) value. Feasible means worst <= p.
+    The candidate levels are the merged absolute values of both ensembles,
+    plus zero, ascending: every level at which a verdict count of
+    _verdict_rates can change. At a level c the larger wrong rate,
+    max(#(y_flat < -c)/nf, #(y_alt > c)/na), never rises as c grows, and
+    the larger undecided rate, max(#(|y_flat| <= c)/nf, #(|y_alt| <= c)/na),
+    never falls. So over the levels the worst of the four is valley
+    shaped: it is the wrong rate before the first level where the
+    undecided rate catches up and the undecided rate from there on, and
+    its minimum is at that level or the one before. Bisection finds that
+    level, and a second bisection the last level that still reaches the
+    minimum, so ties go to the larger (more cautious) threshold. Each
+    level costs four binary searches into the sorted ensembles, and every
+    rate is an integer count over n.
+
+    Returns (feasible, y_th, worst) where worst is the largest of the four
+    rates at y_th and feasible means worst <= p. Each ensemble must be
+    nonempty (ConfigError) and finite (DomainError).
     """
     if not 0 < confidence_p < 1:
         raise ConfigError(f"confidence_p must be in (0, 1), got {confidence_p}")
-    nf, na = y_flat.size, y_alt.size
     sf = np.sort(y_flat)
     sa = np.sort(y_alt)
-    af = np.sort(np.abs(y_flat))
-    aa = np.sort(np.abs(y_alt))
-    cand = np.concatenate([af, aa, [0.0]])
-    cand.sort()
+    nf, na = sf.size, sa.size
+    if not nf or not na:
+        raise ConfigError("threshold_search needs at least one Y under each truth")
+    # sorting puts -inf first and nan or +inf last
+    if not all(math.isfinite(v) for v in (sf[0], sf[-1], sa[0], sa[-1])):
+        raise DomainError("threshold_search needs finite Y")
+    levels = np.concatenate([np.abs(sf), np.abs(sa), [0.0]])
+    levels.sort()
 
-    # wrong and undecided under the flat truth, then under the alt; the
-    # running maximum keeps one rate array alive at a time
-    worst = np.searchsorted(sf, -cand, side="left") / nf
-    np.maximum(worst, np.searchsorted(af, cand, side="right") / nf, out=worst)
-    np.maximum(worst, (na - np.searchsorted(sa, cand, side="right")) / na, out=worst)
-    np.maximum(worst, np.searchsorted(aa, cand, side="right") / na, out=worst)
+    def rates(i: int) -> tuple:
+        """(larger wrong rate, larger undecided rate) at level i."""
+        c = levels[i]
+        below_f, upto_f = sf.searchsorted(-c, "left"), sf.searchsorted(c, "right")
+        below_a, upto_a = sa.searchsorted(-c, "left"), sa.searchsorted(c, "right")
+        return (
+            max(below_f / nf, (na - upto_a) / na),
+            max((upto_f - below_f) / nf, (upto_a - below_a) / na),
+        )
 
-    best_worst = worst.min()
-    # ties toward the larger threshold: scan the equal-minimum set from above
-    j = int(np.nonzero(worst == best_worst)[0][-1])
-    return bool(best_worst <= confidence_p), float(cand[j]), float(best_worst)
+    def undecided_leads(i: int) -> bool:
+        wrong, undecided = rates(i)
+        return undecided >= wrong
+
+    # the first level where the undecided rate leads; the largest level
+    # leaves every trial undecided, so there is one
+    k = bisect.bisect_left(range(levels.size), True, key=undecided_leads)
+    best = rates(k)[1]
+    wrong_before = rates(k - 1)[0] if k else math.inf
+    if wrong_before < best:
+        j, best = k - 1, wrong_before
+    else:  # the last level the undecided rate holds at the minimum
+        j = bisect.bisect_right(range(levels.size), best, lo=k, key=lambda i: rates(i)[1]) - 1
+    return bool(best <= confidence_p), float(levels[j]), float(best)
 
 
 def _erfcinv(y: float) -> float:
@@ -483,6 +509,10 @@ def tau_min(
 
     confidence_p is a fraction in (0, 1): every one of the four failure
     rates (wrong or undecided, under either truth) must be at or below it.
+    Each probed length is judged by threshold_search on its two Y rows: the
+    threshold that minimizes the worst of the four, found by bisecting the
+    sorted levels, ties going to the larger threshold; the length is
+    feasible when that worst rate is at or below confidence_p.
     dt_gamma is the sampling step in units of 1/gamma. Durations are whole
     numbers of samples; the search starts from the printed-fit estimate,
     brackets geometrically, then bisects to 5% relative (or one sample).

@@ -417,10 +417,14 @@ def gen_from_psd(psd, duration: float, dt: float, seed: int) -> BasebandSeries:
         raise DomainError(f"psd must be >= 0 everywhere (min {lam.min():.3e})")
     rng = trial_rng(int(seed), 0)
     z = np.empty(n, dtype=complex)
-    z.real = rng.standard_normal(n)
-    z.imag = rng.standard_normal(n)
+    draw = np.empty(n)  # one buffer for both draws: the generator fills contiguous arrays only
+    rng.standard_normal(out=draw)
+    z.real = draw
+    rng.standard_normal(out=draw)
+    z.imag = draw
+    del draw
     lam /= n
-    z *= np.sqrt(lam)
+    z *= np.sqrt(lam, out=lam)
     del lam
     spec = np.fft.fft(z)
     del z
@@ -447,11 +451,17 @@ def demodulate(series: BasebandSeries, cfg: DemodConfig) -> ComplexBaseband:
     spec = np.fft.fft(series.samples)
     spec *= keep
     xi = np.fft.ifft(spec)
-    del spec
-    # exp(-i center t), formed in place from its purely imaginary exponent
-    mixer = np.zeros(n, dtype=complex)
-    np.multiply(np.arange(n, dtype=float), series.dt, out=mixer.imag)
-    mixer.imag *= -cfg.center
+    # exp(-i center t), formed in the spectrum's buffer from its purely
+    # imaginary exponent; a running sum of ones counts the samples exactly,
+    # so no arange temporary is needed
+    mixer = spec
+    mixer.real = 0.0
+    t = mixer.imag
+    t.fill(1.0)
+    t[0] = 0.0
+    np.cumsum(t, out=t)
+    t *= series.dt
+    t *= -cfg.center
     xi *= np.exp(mixer, out=mixer)
     return ComplexBaseband(
         dt=series.dt,

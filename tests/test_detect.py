@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import toeplitz
 from scipy.special import erfcinv
 
@@ -88,6 +89,30 @@ def _dense_y(x, pair, dt):
 
 def _dense_record(model, z, dt):
     return np.linalg.cholesky(toeplitz(covariance_row(model, z.size, dt))) @ z
+
+
+def _brute_force_search(yf, ya, p):
+    """The threshold search's oracle: every distinct level scored one at a
+    time by the decision rule, returning (feasible, the largest level that
+    reaches the least worst rate, that rate)."""
+    levels = np.unique(np.concatenate([np.abs(yf), np.abs(ya), [0.0]]))
+    worst = []
+    for level in levels:
+        _, wrong_flat, none_flat = detect._verdict_rates(yf, level)
+        wrong_alt, _, none_alt = detect._verdict_rates(ya, level)
+        worst.append(max(wrong_flat, none_flat, wrong_alt, none_alt))
+    best = min(worst)
+    return best <= p, float(max(v for v, w in zip(levels, worst) if w == best)), best
+
+
+# Y ensembles with heavy ties: small integers, one-decimal roundings, and
+# signed zeros, 1 to 300 values
+_TIED_VALUES = st.one_of(
+    st.integers(-4, 4).map(float),
+    st.floats(-3.0, 3.0).map(lambda v: round(v, 1)),
+    st.sampled_from([0.0, -0.0]),
+)
+_ENSEMBLES = st.lists(_TIED_VALUES, min_size=1, max_size=300).map(np.array)
 
 
 class TestPairAndDecide:
@@ -512,19 +537,42 @@ class TestThresholdSearch:
 
     @level_cases
     def test_search_matches_brute_force(self, yf, ya):
-        # every level scored one at a time by the decision rule: the search
-        # returns the least worst rate and the largest level that reaches it
         yf, ya = np.asarray(yf, dtype=float), np.asarray(ya, dtype=float)
-        levels = np.unique(np.concatenate([np.abs(yf), np.abs(ya), [0.0]]))
-        worst = []
-        for level in levels:
-            _, wrong_flat, none_flat = detect._verdict_rates(yf, level)
-            wrong_alt, _, none_alt = detect._verdict_rates(ya, level)
-            worst.append(max(wrong_flat, none_flat, wrong_alt, none_alt))
-        ok, y_th, got = threshold_search(yf, ya, 0.3)
-        assert got == min(worst)
-        assert y_th == max(v for v, w in zip(levels, worst) if w == got)
-        assert ok == (got <= 0.3)
+        assert threshold_search(yf, ya, 0.3) == _brute_force_search(yf, ya, 0.3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        yf=_ENSEMBLES,
+        ya=_ENSEMBLES,
+        shape=st.sampled_from(["as drawn", "all zero", "identical", "mirrored"]),
+        p=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    def test_search_matches_brute_force_on_tied_ensembles(self, yf, ya, shape, p):
+        if shape == "all zero":
+            yf, ya = np.zeros(yf.size), -np.zeros(ya.size)
+        elif shape == "identical":
+            ya = yf.copy()
+        elif shape == "mirrored":
+            ya = -yf
+        ok, y_th, worst = threshold_search(yf, ya, p)
+        want_ok, want_y_th, want_worst = _brute_force_search(yf, ya, p)
+        # bit for bit: the threshold is never a negative zero
+        assert (ok, y_th.hex(), worst.hex()) == (want_ok, want_y_th.hex(), want_worst.hex())
+
+    @pytest.mark.parametrize("yf, ya", [([], [1.0]), ([1.0], []), ([], [])])
+    def test_empty_ensemble_rejected(self, yf, ya):
+        with pytest.raises(ConfigError, match="at least one Y"):
+            threshold_search(np.array(yf), np.array(ya), 0.1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("under", ["flat", "alt"])
+    def test_non_finite_y_rejected(self, bad, under):
+        # a NaN trial is undecided under the decision rule, yet a search
+        # that sorts it last would score it as a level
+        y = np.array([1.0, bad, -2.0])
+        yf, ya = (y, np.array([-1.0])) if under == "flat" else (np.array([1.0]), y)
+        with pytest.raises(DomainError, match="finite"):
+            threshold_search(yf, ya, 0.1)
 
     # (feasible at p = 0.3, y_th, worst) per level case, as float.hex
     FROZEN_SEARCH = {
