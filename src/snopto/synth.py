@@ -452,8 +452,8 @@ def demodulate(series: BasebandSeries, cfg: DemodConfig) -> ComplexBaseband:
     spec *= keep
     xi = np.fft.ifft(spec)
     # exp(-i center t), formed in the spectrum's buffer from its purely
-    # imaginary exponent; a running sum of ones counts the samples exactly,
-    # so no arange temporary is needed
+    # imaginary exponent; a running sum of ones gives the sample indices
+    # exactly, without another array of the record's length
     mixer = spec
     mixer.real = 0.0
     t = mixer.imag
