@@ -392,6 +392,26 @@ class TestEngine:
         batch = detect._y_batch(truth, DIP, _FROZEN_NS, 0.14, 5, (1,), 100, 300)
         assert np.array_equal(batch, table[:, 100:])
 
+    # the same pin for records past the dip factor's fixed point (k = 327):
+    # float.hex of trial 0, trial 299 and the exact sum of Y at n = 1429
+    # and n = 6006
+    FROZEN_LONG = {
+        "flat": [
+            ("0x1.6dd9c1cdd9df0p+3", "0x1.c66a43e8084acp+2", "0x1.d52c4e5f029a3p+10"),
+            ("0x1.402a5619ab440p+5", "0x1.1709bf7d4cda0p+5", "0x1.d55efdd531dd9p+12"),
+        ],
+        "dip": [
+            ("-0x1.c33148a3ca280p-2", "-0x1.6313b23ddc1f8p+1", "-0x1.087903d453f2ep+10"),
+            ("-0x1.d5aa9dcb4b000p+2", "-0x1.3bfb447575ec0p+3", "-0x1.2435af85079cbp+12"),
+        ],
+    }
+
+    @pytest.mark.parametrize("name,truth", [("flat", FLAT), ("dip", DIP)])
+    def test_long_records_frozen_bit_for_bit(self, name, truth):
+        table = detect._y_table(truth, DIP, [1429, 6006], 0.14, 300, 5, (1,), 1)
+        got = [(row[0].hex(), row[-1].hex(), math.fsum(row).hex()) for row in table]
+        assert got == self.FROZEN_LONG[name]
+
     def test_sign_of_ensemble_means(self):
         dur, dt = 200.0, 0.14
         yf = y_ensemble(FLAT, PAIR_DIP, dur, dt, 1000, master_seed=21)

@@ -37,6 +37,31 @@ def _dense_factor(model, n, dt):
     return np.linalg.cholesky(toeplitz(covariance_row(model, n, dt)))
 
 
+def _full_factor_pass(model, n, dt):
+    # covariance_factor's scalar recursion with every one of the n steps
+    # computed: the reference for its stop at the fixed point
+    s, rho = model.pole(dt)
+    diag = (1.0 + rho * rho) / dt + s * (1.0 - rho * rho)
+    off = -rho / dt
+    m = np.empty(n)
+    l = np.zeros(n)
+    v = 1.0 / dt + s
+    for k in range(n):
+        if k:
+            l[k] = off / m[k - 1]
+            v = diag - l[k] * l[k]
+        if not v > 0:
+            raise DomainError("covariance is not positive definite")
+        m[k] = math.sqrt(v)
+    return m, l
+
+
+def _first_repeat(m):
+    # the first k with m[k] == m[k - 1], or None
+    k = np.flatnonzero(m[1:] == m[:-1])
+    return int(k[0]) + 1 if k.size else None
+
+
 class TestModel:
     def test_dip_amplitude_at_or_above_one_rejected(self):
         with pytest.raises(DomainError):
@@ -143,6 +168,67 @@ class TestCovarianceFactor:
         z = np.arange(5.0)
         assert np.allclose(factor.colour(z), z / np.sqrt(0.1), rtol=1e-15)
         assert factor.logdet == pytest.approx(-5 * np.log(0.1), rel=1e-15)
+
+    # float.hex of m and l at n = 6006, dt 0.14: entries 0, k - 1, k,
+    # k + 1 and n - 1 around the first k with m[k] == m[k - 1], then
+    # math.fsum of the array
+    FROZEN = {
+        ("dip", 327): {
+            "m": ("0x1.525cc0366bdc1p+1", "0x1.5187f6d5dc3a5p+1", "0x1.5187f6d5dc3a5p+1",
+                  "0x1.5187f6d5dc3a5p+1", "0x1.5187f6d5dc3a5p+1", "0x1.eeed5a1daf5e0p+13"),
+            "l": ("0x0.0p+0", "-0x1.43476bf5b694bp+1", "-0x1.43476bf5b694cp+1",
+                  "-0x1.43476bf5b694cp+1", "-0x1.43476bf5b694cp+1", "-0x1.d9f20fb5f1502p+13"),
+        },
+        ("peak", 45): {
+            "m": ("0x1.e9cdfbf4644dap+1", "0x1.90f1bdfc23d48p+1", "0x1.90f1bdfc23d48p+1",
+                  "0x1.90f1bdfc23d48p+1", "0x1.90f1bdfc23d48p+1", "0x1.25f89b173913ap+14"),
+            "l": ("0x0.0p+0", "-0x1.1026394d5c622p+1", "-0x1.1026394d5c623p+1",
+                  "-0x1.1026394d5c623p+1", "-0x1.1026394d5c623p+1", "-0x1.8ef7e43f63722p+13"),
+        },
+    }
+
+    @pytest.mark.parametrize("model,k", [(DIP, 327), (BasebandModel("peak", 30.0, 1.0), 45)],
+                             ids=["dip0.62", "peak30"])
+    def test_frozen_factor_past_its_fixed_point(self, model, k):
+        factor = covariance_factor(model, 6006, 0.14)
+        assert _first_repeat(factor.m) == k
+        for name in ("m", "l"):
+            v = getattr(factor, name)
+            got = tuple(v[i].hex() for i in (0, k - 1, k, k + 1, 6005)) + (math.fsum(v).hex(),)
+            assert got == self.FROZEN[model.kind, k][name]
+
+
+class TestFactorFixedPoint:
+    # once m[k] == m[k - 1], every later step of the scalar recursion
+    # repeats step k exactly; covariance_factor must equal the full pass
+
+    @pytest.mark.parametrize("dt", [0.01, 0.14, 0.5])
+    @pytest.mark.parametrize("model", [PEAK, DIP], ids=lambda m: m.kind)
+    def test_equals_the_full_pass_around_the_fixed_point(self, model, dt):
+        k = _first_repeat(_full_factor_pass(model, 20000, dt)[0])
+        assert k is not None
+        for n in (k - 1, k, k + 1, 4 * k):
+            m, l = _full_factor_pass(model, n, dt)
+            factor = covariance_factor(model, n, dt)
+            assert np.array_equal(factor.m, m), n
+            assert np.array_equal(factor.l, l), n
+
+    def test_equals_the_full_pass_without_a_fixed_point(self):
+        model = BasebandModel("dip", amplitude=0.99, fwhm_gamma=1.0)
+        m, l = _full_factor_pass(model, 20000, 0.01)
+        assert _first_repeat(m) is None
+        factor = covariance_factor(model, 20000, 0.01)
+        assert np.array_equal(factor.m, m)
+        assert np.array_equal(factor.l, l)
+
+    @pytest.mark.parametrize("dt", [3.0, 10.0])
+    def test_not_positive_definite_rejected(self, dt):
+        # r_0 < 0 at dt 10; at dt 3 r_0 > 0 and a later step fails
+        model = BasebandModel("dip", amplitude=0.99, fwhm_gamma=1.0)
+        with pytest.raises(DomainError, match="positive definite"):
+            _full_factor_pass(model, 50, dt)
+        with pytest.raises(DomainError, match="positive definite"):
+            covariance_factor(model, 50, dt)
 
 
 class TestGeneratorBasics:
