@@ -54,7 +54,6 @@ from .synth import (
     BasebandModel,
     BasebandSeries,
     _check_resolution,
-    _columns,
     _record_length,
     _tiles,
     covariance_factor,
@@ -214,59 +213,66 @@ def _y_batch(
     samples of the long one. Sample k adds half of (2 log m_k + log dt) +
     u_k^2 - dt x_k^2 to Y: the log-determinant difference and the two
     quadratic forms. A running sum along time then gives Y at every
-    prefix; it runs sequentially per trial, so no value depends on how
-    many trials share a chunk or a worker.
+    prefix; it adds the samples of each trial in time order, so no value
+    depends on how many trials share a chunk or a worker.
 
     Each chunk of _CHUNK_TRIALS trials advances through time in the tiles
-    of synth._tiles: each tile is drawn, coloured with the truth's factor,
-    whitened with the alt's and added to the running sum, with the last
-    rows of z, x, u and the sum carried across the tile edge; only the
-    rows that ns records are copied out. When the truth is the alt law
-    the whitened vector is the draw itself, so only colouring runs; a
-    flat truth is white noise, so only whitening runs. Besides the result,
-    only the factors' one-dimensional arrays grow with the record length.
+    of synth._tiles, C-contiguous (rows, trials) arrays: each tile is
+    drawn, coloured with the truth's factor and whitened with the alt's
+    into buffers that belong to the chunk, with the last rows of z, x and
+    u carried across the tile edge. The running sum is np.add.reduce over
+    axis 0 of the tile's rows, the sum so far added into the first: over
+    two or more C-contiguous columns it adds the rows in order, column by
+    column, the order of a row-by-row sum. Over a single column it would
+    sum pairwise, so a one-trial chunk reduces its column beside a column
+    of zeros. A recorded row reads the same reduce cut at that row. When
+    the truth is the alt law the whitened vector is the draw itself, so
+    only colouring runs; a flat truth is white noise, z / sqrt(dt) as
+    synth draws it, so only whitening runs. Besides the result, only the
+    factors' one-dimensional arrays grow with the record length.
     """
     n = ns[-1]
-    rows = np.asarray(ns) - 1
+    rows = [m - 1 for m in ns]
     f_alt = covariance_factor(alt, n, dt)
-    if truth.kind == "flat":
-        f_truth = None
-    elif truth == alt:
-        f_truth = f_alt
-    else:
-        f_truth = covariance_factor(truth, n, dt)
+    # a flat truth's factor goes unused; diagonal, it stops after one step
+    f_truth = f_alt if truth == alt else covariance_factor(truth, n, dt)
     lndet = np.cumsum(2.0 * np.log(f_alt.m) + math.log(dt))[rows]
 
     out = np.empty((len(ns), hi - lo))
     sqrt_dt = math.sqrt(dt)
     for start in range(lo, hi, _CHUNK_TRIALS):
         stop = min(start + _CHUNK_TRIALS, hi)
-        cols = slice(start - lo, stop - lo)
+        width = stop - start
         j = 0  # next row of ns to record
-        carry_x = carry_u = carry_y = None  # rows carried from the previous tile
+        carry_x = carry_u = None  # rows carried from the previous tile
         for k, z in _tiles(master_seed, spawn_prefix, n, start, stop):
-            if f_truth is None:
-                x = z / sqrt_dt
+            r = z.shape[0]
+            if not k:  # the chunk's buffers, as long as its first, longest tile
+                xs, us = np.zeros((2, r, max(width, 2)))
+                y = np.zeros(max(width, 2))
+            x, u = xs[:r, :width], us[:r, :width]
+            if truth.kind == "flat":
+                np.divide(z, sqrt_dt, out=x)
             else:
-                x = f_truth.colour(z, k, carry_x)
+                f_truth.colour(z, k, carry_x, out=x)
                 carry_x = z[-1].copy(), x[-1].copy()
             if f_truth is f_alt:
-                u = z
+                np.multiply(z, z, out=u)
             else:
-                u = f_alt.whiten(x, k, carry_u)
+                f_alt.whiten(x, k, carry_u, out=u)
                 carry_u = x[-1].copy(), u[-1].copy()
-            u *= u
+                u *= u
             x *= x
             x *= dt
             u -= x
-            if carry_y is not None:
-                u[0] += carry_y
-            for r in range(1, u.shape[0]):  # row by row: np.cumsum along axis 0 is 5x slower
-                u[r] += u[r - 1]
-            carry_y = u[-1].copy()
-            while j < len(ns) and rows[j] < k + u.shape[0]:
-                out[j, cols] = _columns(u[rows[j] - k], start, stop)
+            # the sum so far enters the tile's first row, and a recorded
+            # row reads the sum up to it
+            us[0] += y
+            while j < len(ns) and rows[j] < k + r:
+                np.add.reduce(us[: rows[j] - k + 1], axis=0, out=y)
+                out[j, start - lo : stop - lo] = y[:width]
                 j += 1
+            np.add.reduce(us[:r], axis=0, out=y)
     out += lndet[:, None]
     out *= 0.5
     return out

@@ -15,7 +15,8 @@ AR step turns a record into an MA(1) series: w_0 = x_0 and
 w_k = x_k - rho x_{k-1} have a tridiagonal covariance. Its bidiagonal
 Cholesky factor comes from one scalar pass (the innovations algorithm of
 Brockwell & Davis, Time Series: Theory and Methods, sections 5.2 and 8.7),
-and composed with the AR step it is the exact Cholesky factor of the
+which stops once it repeats itself exactly (see covariance_factor), and
+composed with the AR step it is the exact Cholesky factor of the
 Toeplitz covariance. CovarianceFactor applies it in O(n) per record:
 colouring standard normals draws a record, whitening a record scores it,
 and the log-determinant is a sum over the gains. No n x n matrix is ever
@@ -191,12 +192,16 @@ def target_autocovariance(model: BasebandModel, lag, dt: float | None = None):
     return cont if cont.ndim else float(cont)
 
 
-def covariance_row(model: BasebandModel, n: int, dt: float) -> np.ndarray:
-    """First row of the n x n discrete covariance (Toeplitz) matrix."""
+def _check_grid(n: int, dt: float):
     if n < 1:
         raise ConfigError("need n >= 1")
     if dt <= 0:
         raise ConfigError(f"dt must be > 0, got {dt}")
+
+
+def covariance_row(model: BasebandModel, n: int, dt: float) -> np.ndarray:
+    """First row of the n x n discrete covariance (Toeplitz) matrix."""
+    _check_grid(n, dt)
     row = np.asarray(target_autocovariance(model, np.arange(n) * dt), dtype=float)
     row[0] += 1.0 / dt
     return row
@@ -208,9 +213,11 @@ class CovarianceFactor:
 
     L = A^-1 M, where A is the AR step (unit diagonal, -rho below it) and
     M is the lower bidiagonal Cholesky factor of Cov(A x), with diagonal m
-    and subdiagonal l (l[0] is unused). Arrays of shape (n,), (n, trials)
-    or (n, blocks, TRIAL_BLOCK) are transformed along their first axis, so
-    a batch of records runs each recursion once over time.
+    and subdiagonal l (l[0] is unused). A record of shape (n,), or a batch
+    of records as the columns of an (n, trials) array, is transformed along
+    its first axis, so a batch runs each recursion once over time. The
+    result goes to out when it is given, an array of the input's shape
+    that is not the input.
     """
 
     rho: float
@@ -222,46 +229,58 @@ class CovarianceFactor:
         """log det of the covariance, 2 sum log m_k."""
         return 2.0 * float(np.sum(np.log(self.m)))
 
-    def _column(self, v: np.ndarray, ndim: int) -> np.ndarray:
-        return v.reshape((-1,) + (1,) * (ndim - 1))
-
-    def colour(self, z: np.ndarray, k: int = 0, carry: tuple | None = None) -> np.ndarray:
+    def colour(self, z: np.ndarray, k: int = 0, carry: tuple | None = None, out=None) -> np.ndarray:
         """L z: a record of the law from standard normals z.
 
         z may instead hold rows k, k + 1, ... of longer records, with carry
         their rows k - 1 of z and of the result, (z_{k-1}, x_{k-1}).
         """
-        l = self.l[k : k + z.shape[0]]
-        x = z * self._column(self.m[k : k + z.shape[0]], z.ndim)
-        x[1:] += self._column(l[1:], z.ndim) * z[:-1]
-        rho = self.rho
+        rows = (slice(k, k + z.shape[0]),) + (None,) * (z.ndim - 1)  # gains as a column
+        m, l = self.m[rows], self.l[rows]
+        x = np.multiply(z, m, out=out)
+        x[1:] += l[1:] * z[:-1]
         if carry is not None:
             z_prev, x_prev = carry
             x[0] += l[0] * z_prev
-            x[0] += rho * x_prev
-        for j in range(1, x.shape[0]):
-            x[j] += rho * x[j - 1]
+            x[0] += self.rho * x_prev
+        _recur(x, [self.rho] * len(x))
         return x
 
-    def whiten(self, x: np.ndarray, k: int = 0, carry: tuple | None = None) -> np.ndarray:
+    def whiten(self, x: np.ndarray, k: int = 0, carry: tuple | None = None, out=None) -> np.ndarray:
         """L^-1 x: the standardized innovations of record x.
 
         x may instead hold rows k, k + 1, ... of longer records, with carry
         their rows k - 1 of x and of the result, (x_{k-1}, u_{k-1}).
         """
-        m = self.m[k : k + x.shape[0]]
-        g = self.l[k : k + x.shape[0]] / m
-        u = x.copy()
+        rows = (slice(k, k + x.shape[0]),) + (None,) * (x.ndim - 1)  # gains as a column
+        m = self.m[rows]
+        g = self.l[rows] / m
+        u = np.positive(x, out=out)  # a copy of x, in out when given
         u[1:] -= self.rho * x[:-1]
         if carry is not None:
             x_prev, u_prev = carry
             u[0] -= self.rho * x_prev
-        u /= self._column(m, x.ndim)
+        u /= m
         if carry is not None:
             u[0] -= g[0] * u_prev
-        for j in range(1, u.shape[0]):
-            u[j] -= g[j] * u[j - 1]
+        # u_j - g_j u_{j-1} is u_j + (-g_j) u_{j-1} bit for bit: negation is exact
+        _recur(u, (-g[1:]).ravel().tolist())
         return u
+
+
+def _recur(x: np.ndarray, coefs) -> None:
+    """x[j] += c_j x[j - 1] in place for j = 1, 2, ..., with c_1, c_2, ... from coefs.
+
+    Row by row, two ufunc calls per row into one scratch row; a record
+    runs as a column of one-sample rows. Each product and each sum is
+    rounded once, as in x[j] += c * x[j - 1], so a column of a batch comes
+    out bit for bit as the record run alone.
+    """
+    mul, add = np.multiply, np.add  # bound once, not looked up per row
+    rows = list(x[:, None] if x.ndim == 1 else x)
+    t = np.empty_like(rows[0])
+    for prev, row, c in zip(rows, rows[1:], coefs):
+        add(row, mul(prev, c, t), row)
 
 
 def covariance_factor(model: BasebandModel, n: int, dt: float) -> CovarianceFactor:
@@ -269,18 +288,20 @@ def covariance_factor(model: BasebandModel, n: int, dt: float) -> CovarianceFact
 
     With w = A x, Cov(w) is tridiagonal: r_0 then (1 + rho^2)/dt +
     s (1 - rho^2) on the diagonal, -rho/dt beside it. One scalar pass
-    factors it. The flat law has s = 0 and is taken with rho = 0, which
+    factors it: l_k = (-rho/dt) / m_{k-1} and m_k = sqrt(diag - l_k^2).
+    Step k reads nothing but m_{k-1}, so once m_k == m_{k-1} every later
+    step repeats step k bit for bit; the pass stops there and fills the
+    rest. The reference laws reach that point within a few hundred steps
+    (k = 327 for the 0.62 dip at dt gamma = 0.14, 45 for a height-30
+    peak); a 0.99 dip at dt gamma = 0.01 does not within 20 000, and runs
+    every step. The flat law has s = 0 and is taken with rho = 0, which
     makes the factor diagonal.
     """
-    if n < 1:
-        raise ConfigError("need n >= 1")
-    if dt <= 0:
-        raise ConfigError(f"dt must be > 0, got {dt}")
+    _check_grid(n, dt)
     s, rho = model.pole(dt)
     diag = (1.0 + rho * rho) / dt + s * (1.0 - rho * rho)
     off = -rho / dt
-    m = np.empty(n)
-    l = np.zeros(n)
+    m, l = np.empty(n), np.zeros(n)
     v = 1.0 / dt + s
     for k in range(n):
         if k:
@@ -289,6 +310,10 @@ def covariance_factor(model: BasebandModel, n: int, dt: float) -> CovarianceFact
         if not v > 0:
             raise DomainError("covariance is not positive definite")
         m[k] = math.sqrt(v)
+        if k and m[k] == m[k - 1]:  # the fixed point of the recursion
+            m[k + 1 :] = m[k]
+            l[k + 1 :] = l[k]
+            break
     return CovarianceFactor(rho=rho, m=m, l=l)
 
 
@@ -311,29 +336,24 @@ def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
 def _tiles(master_seed: int, prefix: tuple, n: int, lo: int, hi: int):
     """The first n normals of trials lo..hi-1 under seed contract 3, in time tiles.
 
-    Yields (k, z) per tile of at most _TILE_ROWS rows, z of shape (rows,
-    blocks, TRIAL_BLOCK) holding rows k, k + 1, ... of every block that
-    trials lo..hi-1 touch, full width (_columns picks the trials). One
-    standard_normal call per block fills that block's next rows. z is a
-    view of one buffer that the next tile overwrites.
+    Yields (k, z) per tile of at most _TILE_ROWS rows, z a C-contiguous
+    (rows, hi - lo) array whose column j holds rows k, k + 1, ... of trial
+    lo + j. Per tile, one standard_normal call per block fills that
+    block's next rows at full width, and one copy moves the block's trials
+    into z. z is a view of one buffer that the next tile overwrites.
     """
     _check_seed(master_seed)
-    draws = [
-        _stream(master_seed, prefix + (b,)).standard_normal
-        for b in range(lo // TRIAL_BLOCK, -(-hi // TRIAL_BLOCK))
-    ]
-    buf = np.empty((len(draws), min(_TILE_ROWS, n), TRIAL_BLOCK))
+    blocks = [(b * TRIAL_BLOCK, _stream(master_seed, prefix + (b,)).standard_normal)
+              for b in range(lo // TRIAL_BLOCK, -(-hi // TRIAL_BLOCK))]
+    drawn = np.empty((min(_TILE_ROWS, n), TRIAL_BLOCK))
+    z = np.empty((min(_TILE_ROWS, n), hi - lo))
     for k in range(0, n, _TILE_ROWS):
-        tile = buf[:, : min(_TILE_ROWS, n - k)]
-        for draw, rows in zip(draws, tile):
-            draw(out=rows)
-        yield k, tile.transpose(1, 0, 2)
-
-
-def _columns(z: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Trials lo..hi-1 of full-width blocks z[..., blocks, TRIAL_BLOCK], as (..., hi - lo)."""
-    first = lo - lo % TRIAL_BLOCK
-    return z.reshape(z.shape[:-2] + (-1,))[..., lo - first : hi - first]
+        rows = min(_TILE_ROWS, n - k)
+        for base, draw in blocks:  # trials first..last-1 of the block starting at trial base
+            draw(out=drawn[:rows])
+            first, last = max(lo, base), min(hi, base + TRIAL_BLOCK)
+            z[:rows, first - lo : last - lo] = drawn[:rows, first - base : last - base]
+        yield k, z[:rows]
 
 
 def normals(master_seed: int, prefix: tuple, n: int, lo: int, hi: int) -> np.ndarray:
@@ -344,7 +364,7 @@ def normals(master_seed: int, prefix: tuple, n: int, lo: int, hi: int) -> np.nda
     """
     z = np.empty((n, hi - lo))
     for k, tile in _tiles(master_seed, prefix, n, lo, hi):
-        z[k : k + tile.shape[0]] = _columns(tile, lo, hi)
+        z[k : k + tile.shape[0]] = tile
     return z
 
 

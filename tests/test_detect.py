@@ -335,12 +335,13 @@ class TestEngine:
 
     @pytest.mark.parametrize("n", [1, 2, 255, 1429, 6006, 8192, 2**22, 2**23])
     def test_chunks_hold_whole_blocks(self, n):
-        # a chunk's tiles span whole blocks and at most _TILE_ROWS rows,
+        # a chunk spans whole blocks, and its tiles are C-contiguous, at
+        # most _TILE_ROWS rows by one column per trial of the chunk,
         # whatever the record length
         assert detect._CHUNK_TRIALS % TRIAL_BLOCK == 0
         k, z = next(synth._tiles(0, (), n, 0, detect._CHUNK_TRIALS))
-        blocks = detect._CHUNK_TRIALS // TRIAL_BLOCK
-        assert k == 0 and z.shape == (min(n, synth._TILE_ROWS), blocks, TRIAL_BLOCK)
+        assert k == 0 and z.shape == (min(n, synth._TILE_ROWS), detect._CHUNK_TRIALS)
+        assert z.flags.c_contiguous
 
     def test_results_independent_of_chunk_size(self, monkeypatch):
         # 4099 trials in one-block chunks, one partial block at the end,
