@@ -502,6 +502,80 @@ def _bisection_tree(lo: int, hi: int) -> list:
     return [mid] + _bisection_tree(lo, mid) + _bisection_tree(mid, hi)
 
 
+
+
+def _shortest_feasible(score, n0: int, max_samples: int, confidence_p: float) -> tuple:
+    """The duration search: the shortest feasible length, to 5% or one sample.
+
+    score(n, record) -> (feasible, y_th, worst) judges the record of n
+    samples; feasibility is taken to be monotone in n. record is a
+    prefetch hint: the lengths the search may probe next, which an oracle
+    may score in the same pass as n. The search starts at n0. If n0 is
+    feasible it halves down to the two-sample floor until a length fails;
+    otherwise it doubles until a length passes, and gives up past
+    max_samples. Then it bisects the bracket, infeasible below and
+    feasible above, until it is no wider than 5% of its upper end, or one
+    sample (_unresolved). One sample scores nothing, so the floor's lower
+    end is 1, never probed.
+
+    The hints are chosen so that an oracle that prepares n and its hint
+    whenever n is not among the lengths it last prepared does that once
+    per bracket. The first probe hints the halving chain and the bisection
+    tree of the octave below n0, where the bracket lands whenever n0 is
+    within a factor two; each doubling probe hints the tree of its
+    bracket; a bracket found lower in the chain hints its tree with its
+    first bisection probe.
+
+    Returns (n, probes): n is the upper end of the final bracket and probes
+    maps each probed length, in probe order, to its score. Raises
+    BoundedSearchError, with the probes' worst rates as diagnostics, when
+    no length up to max_samples is found feasible.
+    """
+    probes = {}
+
+    def feasible(n: int, record=()) -> bool:
+        probes[n] = score(n, record)
+        return probes[n][0]
+
+    chain = [n0]
+    while chain[-1] > 2:
+        chain.append(max(2, chain[-1] // 2))
+
+    # lo infeasible, hi feasible: the bracket, then the bisection interval
+    lo, hi = 1, n0
+    first_octave = _bisection_tree(chain[1], n0) if n0 > 2 else []
+    if feasible(n0, chain + first_octave):
+        for m in chain[1:]:
+            if not feasible(m):
+                lo = m
+                break
+            hi = m
+    else:
+        while True:
+            lo, hi = hi, 2 * hi
+            if hi > max_samples:
+                raise BoundedSearchError(
+                    f"no duration up to {max_samples} samples reaches "
+                    f"confidence {confidence_p}",
+                    diagnostics={
+                        "max_samples": max_samples,
+                        "last_infeasible": lo,
+                        "probes": {k: v[2] for k, v in probes.items()},
+                    },
+                )
+            if feasible(hi, _bisection_tree(lo, hi)):
+                break
+
+    tree = _bisection_tree(lo, hi)
+    while _unresolved(lo, hi):
+        mid = (lo + hi) // 2
+        if feasible(mid, tree):
+            hi = mid
+        else:
+            lo = mid
+    return hi, probes
+
+
 def tau_min(
     pair: HypothesisPair,
     confidence_p: float,
@@ -520,20 +594,20 @@ def tau_min(
     sorted levels, ties going to the larger threshold; the length is
     feasible when that worst rate is at or below confidence_p.
     dt_gamma is the sampling step in units of 1/gamma. Durations are whole
-    numbers of samples; the search starts from the printed-fit estimate,
-    brackets geometrically, then bisects to 5% relative (or one sample).
-    The reported tau_min is the single-record (one quadrature) duration;
-    the halved field is the two-quadrature convention the figure fits use.
+    numbers of samples. _shortest_feasible runs the search: it starts from
+    the printed-fit estimate (capped at max_samples), halves or doubles up
+    to max_samples to bracket the answer, then bisects to 5% relative (or
+    one sample). The reported tau_min is the single-record (one quadrature)
+    duration; the halved field is the two-quadrature convention the figure
+    fits use.
 
     Probes read Y from one pass cache: a mapping from each length of the
     latest nested pass to its (flat, alt) rows. One pass per truth draws
     every trial to the longest length it records and scores all of them.
-    The first pass runs to the fit estimate and records the halving chain
-    below it plus the bisection tree of the first octave. Each doubling
-    runs to the new upper end and records that bracket's tree with it. A
-    bracket found lower down costs one more pass over its tree. A probe
-    the cache lacks releases it before drawing the next pass, so one pass
-    is held at a time, 16 bytes per trial per recorded length.
+    A probe the cache lacks draws a new pass over the probe and the
+    search's hint, releasing the previous pass first, so one pass is held
+    at a time, 16 bytes per trial per recorded length, and each bracket
+    costs one pass.
     """
     if pair.alt_model.amplitude <= 0:
         raise DomainError("tau_min needs a nonzero alternative amplitude")
@@ -549,64 +623,24 @@ def tau_min(
     dt = dt_gamma / gamma
     fit = fit_prediction(pair.alt_model.kind, pair.alt_model.amplitude, gamma, p=100 * confidence_p)
 
-    probe = {}
     rows = {}  # the pass cache
 
-    def feasible(n: int, record=()) -> bool:
+    def score(n: int, record) -> tuple:
         if n not in rows:
             rows.clear()  # release the previous pass before drawing the next
             rows.update(_nested_rows(pair, [n, *record], dt, n_trials, master_seed, jobs))
-        probe[n] = threshold_search(*rows[n], confidence_p)
-        return probe[n][0]
+        return threshold_search(*rows[n], confidence_p)
 
     n0 = min(max(2, int(round(fit.seconds_unhalved / dt))), max_samples)
-    chain = [n0]
-    while chain[-1] > 2:
-        chain.append(max(2, chain[-1] // 2))
-
-    # lo infeasible, hi feasible: the bracket, then the bisection interval;
-    # one sample scores nothing, so lo starts below the two-sample floor
-    lo, hi = 1, n0
-    # the first pass also records the bisection tree of the octave below
-    # n0, where the bracket lands whenever the fit is within a factor two
-    first_octave = _bisection_tree(chain[1], n0) if n0 > 2 else []
-    if feasible(n0, chain + first_octave):
-        for m in chain[1:]:
-            if not feasible(m):
-                lo = m
-                break
-            hi = m
-    else:
-        while True:
-            lo, hi = hi, 2 * hi
-            if hi > max_samples:
-                raise BoundedSearchError(
-                    f"no duration up to {max_samples} samples reaches "
-                    f"confidence {confidence_p}",
-                    diagnostics={
-                        "max_samples": max_samples,
-                        "last_infeasible": lo,
-                        "probes": {k: v[2] for k, v in probe.items()},
-                    },
-                )
-            if feasible(hi, _bisection_tree(lo, hi)):
-                break
-
-    tree = _bisection_tree(lo, hi)
-    while _unresolved(lo, hi):
-        mid = (lo + hi) // 2
-        if feasible(mid, tree):
-            hi = mid
-        else:
-            lo = mid
+    n, probes = _shortest_feasible(score, n0, max_samples, confidence_p)
     return TauMinResult(
-        tau_min=hi * dt,
-        tau_min_halved=hi * dt / 2.0,
-        y_th_used=probe[hi][1],
+        tau_min=n * dt,
+        tau_min_halved=n * dt / 2.0,
+        y_th_used=probes[n][1],
         confidence_p=confidence_p,
         n_trials=n_trials,
         fit_prediction=fit.seconds,
         master_seed=master_seed,
-        n_samples=hi,
-        probes=tuple((m, *v) for m, v in probe.items()),
+        n_samples=n,
+        probes=tuple((m, *v) for m, v in probes.items()),
     )
