@@ -512,8 +512,8 @@ def _shortest_feasible(score, n0: int, max_samples: int, confidence_p: float) ->
     prefetch hint: the lengths the search may probe next, which an oracle
     may score in the same pass as n. The search starts at n0. If n0 is
     feasible it halves down to the two-sample floor until a length fails;
-    otherwise it doubles until a length passes, and gives up past
-    max_samples. Then it bisects the bracket, infeasible below and
+    otherwise it doubles until a length passes, the last doubling
+    stopping at max_samples. Then it bisects the bracket, infeasible below and
     feasible above, until it is no wider than 5% of its upper end, or one
     sample (_unresolved). One sample scores nothing, so the floor's lower
     end is 1, never probed.
@@ -529,7 +529,7 @@ def _shortest_feasible(score, n0: int, max_samples: int, confidence_p: float) ->
     Returns (n, probes): n is the upper end of the final bracket and probes
     maps each probed length, in probe order, to its score. Raises
     BoundedSearchError, with the probes' worst rates as diagnostics, when
-    no length up to max_samples is found feasible.
+    max_samples itself is probed and infeasible; it is last_infeasible.
     """
     probes = {}
 
@@ -551,20 +551,20 @@ def _shortest_feasible(score, n0: int, max_samples: int, confidence_p: float) ->
                 break
             hi = m
     else:
-        while True:
-            lo, hi = hi, 2 * hi
-            if hi > max_samples:
-                raise BoundedSearchError(
-                    f"no duration up to {max_samples} samples reaches "
-                    f"confidence {confidence_p}",
-                    diagnostics={
-                        "max_samples": max_samples,
-                        "last_infeasible": lo,
-                        "probes": {k: v[2] for k, v in probes.items()},
-                    },
-                )
+        while hi < max_samples:
+            lo, hi = hi, min(2 * hi, max_samples)
             if feasible(hi, _bisection_tree(lo, hi)):
                 break
+        else:
+            raise BoundedSearchError(
+                f"no duration up to {max_samples} samples reaches "
+                f"confidence {confidence_p}",
+                diagnostics={
+                    "max_samples": max_samples,
+                    "last_infeasible": hi,
+                    "probes": {k: v[2] for k, v in probes.items()},
+                },
+            )
 
     tree = _bisection_tree(lo, hi)
     while _unresolved(lo, hi):

@@ -751,6 +751,13 @@ class TestTauMin:
         assert diag["probes"] and all(w > 0.01 for w in diag["probes"].values())
         assert max(diag["probes"]) == diag["last_infeasible"] <= 64
 
+    def test_last_doubling_probes_max_samples(self):
+        # the fit estimate, 3003 samples, fails and its double passes the
+        # bound: the search probes max_samples itself before giving up
+        res = tau_min(PAIR_DIP, 0.01, n_trials=2000, master_seed=0, max_samples=5000)
+        assert [(n, ok) for n, ok, _, _ in res.probes[:2]] == [(3003, False), (5000, True)]
+        assert 3003 < res.n_samples <= 5000
+
     @pytest.mark.parametrize("n_trials", [0, -1])
     def test_needs_a_trial(self, n_trials):
         with pytest.raises(ConfigError, match="n_trials"):
