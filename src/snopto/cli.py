@@ -27,6 +27,7 @@ here; curves are emitted as plot-ready CSV.
 """
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -576,7 +577,9 @@ def cmd_feasibility(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; main dispatches on its command."""
     parser = argparse.ArgumentParser(
         prog="snopto",
         description="Spectra, trajectories, synthetic records, decision statistics and planning laws.",
@@ -587,32 +590,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("material", help=cmd_material.__doc__)
     p.add_argument("name", nargs="?", help="element symbol, e.g. W")
     p.add_argument("--all", action="store_true", help="print every builtin row")
-    p.set_defaults(func=cmd_material)
 
-    # looked up per build, so a rebound cmd_* name is the one that runs
-    commands = {
-        "spectrum": cmd_spectrum,
-        "dynamics": cmd_dynamics,
-        "synth": cmd_synth,
-        "detect": cmd_detect,
-        "taumin": cmd_taumin,
-        "feasibility": cmd_feasibility,
-    }
-    for name, func in commands.items():
-        p = subs.add_parser(name, help=func.__doc__)
-        for key in ("config", "outdir", *_SPECS[name]):
+    for name, spec in _SPECS.items():
+        p = subs.add_parser(name, help=globals()["cmd_" + name].__doc__)
+        for key in ("config", "outdir", *spec):
             label = key == "seed" and name in _LABEL_SEED
             p.add_argument("--" + key.replace("_", "-"), dest=key,
                            help=_LABEL_SEED_HELP if label else _HELP.get(key),
                            action="store_true" if key in _BOOL_KEYS else "store")
-        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up per call, so a rebound cmd_* name is the one that runs
+        return globals()["cmd_" + args.command](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -291,8 +291,11 @@ def _y_table(
     """_y_batch over trials 0..n_trials-1, split into `jobs` worker ranges.
 
     Ranges are cut at block boundaries, so no block's stream is drawn by
-    two workers.
+    two workers. Every Monte Carlo run passes jobs through here before it
+    draws, so jobs is checked once, here.
     """
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     args = (truth, alt, ns, dt, master_seed, spawn_prefix)
     if jobs <= 1 or n_trials < 2 * _CHUNK_TRIALS:
         return _y_batch(*args, 0, n_trials)
@@ -512,8 +515,8 @@ def _shortest_feasible(score, n0: int, max_samples: int, confidence_p: float) ->
     prefetch hint: the lengths the search may probe next, which an oracle
     may score in the same pass as n. The search starts at n0. If n0 is
     feasible it halves down to the two-sample floor until a length fails;
-    otherwise it doubles until a length passes, the last doubling
-    stopping at max_samples. Then it bisects the bracket, infeasible below and
+    otherwise it doubles until a length passes, the last doubling stopping
+    at max_samples. Then it bisects the bracket, infeasible below and
     feasible above, until it is no wider than 5% of its upper end, or one
     sample (_unresolved). One sample scores nothing, so the floor's lower
     end is 1, never probed.

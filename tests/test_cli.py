@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from snopto import __version__
+from snopto import __version__, cli
 from snopto.cli import _ALL_KEYS, _SPECS, _emit_csv, build_parser, load_config, main, parse_quantity
 from snopto.errors import ConfigError
 from snopto.feasibility import ExperimentConfig, pre_report
@@ -467,6 +467,15 @@ class TestIntegerValues:
         assert capsys.readouterr().err == "error: master seed must be >= 0, got -1\n"
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("argv", [_DETECT_ARGS, ["taumin", "--kind", "peak", "--amp", "30", "--n", "100"]],
+                             ids=["detect", "taumin"])
+    def test_jobs_below_one_rejected(self, tmp_path, capsys, argv, value):
+        outdir = tmp_path / "out"
+        assert main([*argv, "--jobs", value, "--outdir", str(outdir)]) == 2
+        assert capsys.readouterr().err == f"error: jobs must be >= 1, got {value}\n"
+        assert not outdir.exists()
+
     @pytest.mark.parametrize("value", ["0", "1"])
     def test_max_samples_below_two_rejected(self, tmp_path, capsys, value):
         assert main(["taumin", "--kind", "peak", "--amp", "30", "--n", "100",
@@ -494,6 +503,18 @@ class TestGeneratedParser:
             flags = {o for o in subs[name]._option_string_actions if o.startswith("--")}
             expected = {"--config", "--outdir"} | {"--" + k.replace("_", "-") for k in spec}
             assert flags - {"--help"} == expected, name
+
+    def test_rebound_command_runs(self, tmp_path, monkeypatch):
+        # the parser is built once per process, and main looks the command
+        # up at call time, so a cmd_* rebound after the first call still runs
+        argv = ["synth", "--kind", "dip", "--amp", "0.62", "--duration", "14", "--dt", "0.14",
+                "--outdir", str(tmp_path)]
+        assert main(argv) == 0
+        assert build_parser() is build_parser()
+        seen = []
+        monkeypatch.setattr(cli, "cmd_synth", lambda args: seen.append(args.duration) or 7)
+        assert main(argv) == 7
+        assert seen == ["14"]
 
     def test_spec_keys_are_known(self):
         for spec in _SPECS.values():

@@ -322,6 +322,13 @@ class TestEngine:
         assert np.array_equal(one, two)
         assert np.array_equal(one[:7], y_ensemble(truth, PAIR_DIP, 64 * dt, dt, 7, master_seed=19))
 
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_needs_a_worker(self, jobs):
+        with pytest.raises(ConfigError, match=f"jobs must be >= 1, got {jobs}"):
+            y_ensemble(DIP, PAIR_DIP, 14.0, 0.14, 100, master_seed=0, jobs=jobs)
+        with pytest.raises(ConfigError, match="jobs"):
+            outcome_probs(DIP, PAIR_DIP, 14.0, 0.14, 1.0, 100, master_seed=0, jobs=jobs)
+
     @pytest.mark.parametrize("truth", [FLAT, DIP])
     def test_one_trial_chunk_matches_wide_chunk(self, truth):
         # 4099 trials over two workers leave trial 2048 alone in its chunk;
@@ -763,6 +770,11 @@ class TestTauMin:
         with pytest.raises(ConfigError, match="n_trials"):
             tau_min(PAIR_PEAK, 0.10, n_trials=n_trials, master_seed=0)
 
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_needs_a_worker(self, jobs):
+        with pytest.raises(ConfigError, match=f"jobs must be >= 1, got {jobs}"):
+            tau_min(PAIR_PEAK, 0.10, n_trials=100, master_seed=0, jobs=jobs)
+
     def test_probe_trace_kept_out_of_the_report(self):
         pair = HypothesisPair(FLAT, BasebandModel("peak", amplitude=300.0, fwhm_gamma=1.0))
         res = tau_min(pair, 0.10, n_trials=400, master_seed=0)
@@ -892,6 +904,89 @@ class TestTauMin:
         pair0 = HypothesisPair(FLAT, BasebandModel("peak", amplitude=0.0, fwhm_gamma=1.0))
         with pytest.raises(DomainError):
             tau_min(pair0, 0.1, n_trials=100)
+
+
+def _fake_search(n_star: int, n0: int, max_samples: int):
+    """The duration search on the oracle "feasible iff n >= n_star".
+
+    Returns (n, probes) or the BoundedSearchError, and the (n, record)
+    of every call to the oracle in order.
+    """
+    calls = []
+
+    def score(n, record):
+        calls.append((n, tuple(record)))
+        return n >= n_star, 0.0, 0.0 if n >= n_star else 1.0
+
+    try:
+        return detect._shortest_feasible(score, n0, max_samples, 0.1), calls
+    except BoundedSearchError as exc:
+        return exc, calls
+
+
+class TestShortestFeasible:
+    """The duration search alone, on a monotone fake oracle: no Monte Carlo."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_search_on_a_monotone_oracle(self, data):
+        max_samples = data.draw(st.integers(2, 9000), label="max_samples")
+        n0 = data.draw(st.integers(2, max_samples), label="n0")
+        n_star = data.draw(st.integers(1, 9000), label="n_star")
+        result, calls = _fake_search(n_star, n0, max_samples)
+        ns = [n for n, _ in calls]
+        assert len(ns) == len(set(ns)), "a length probed twice"
+        assert ns[0] == n0 and all(2 <= n <= max_samples for n in ns)
+
+        # raised exactly when max_samples itself fails, after probing it
+        assert isinstance(result, BoundedSearchError) == (n_star > max_samples)
+        if isinstance(result, BoundedSearchError):
+            diag = result.diagnostics
+            assert diag["last_infeasible"] == max_samples == ns[-1]
+            assert list(diag["probes"]) == ns
+            return
+        n, probes = result
+        assert list(probes) == ns
+        assert probes[n][0] and n >= n_star
+        assert n == min(m for m, (ok, _, _) in probes.items() if ok)
+        # one sample scores nothing: 1 stands for the infeasible floor
+        lo = max([1] + [m for m, (ok, _, _) in probes.items() if not ok and m < n])
+        assert n - lo <= max(1, int(0.05 * n))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_one_pass_per_bracket(self, data):
+        max_samples = data.draw(st.integers(2, 9000), label="max_samples")
+        n0 = data.draw(st.integers(2, max_samples), label="n0")
+        n_star = data.draw(st.integers(1, max_samples), label="n_star")
+        _, calls = _fake_search(n_star, n0, max_samples)
+        # an oracle that scores a probe and its hint in one pass, whenever
+        # the probe is not in its last pass, makes one pass for the first
+        # probe, one per doubling probe, and at most one more for a bracket
+        # found below the first octave; every other probe is in the pass
+        cached, passes = set(), []
+        for n, record in calls:
+            if n not in cached:
+                cached = {n, *record}
+                passes.append(n)
+        ns = [n for n, _ in calls]
+        if n0 < n_star:
+            top = next(k for k, n in enumerate(ns) if n >= n_star)  # the last doubling
+            assert all(ns[k] == min(2 * ns[k - 1], max_samples) for k in range(1, top + 1))
+            assert passes == ns[: top + 1]
+        else:
+            assert passes[0] == n0 and len(passes) <= 2
+            assert all(n < max(2, n0 // 2) for n in passes[1:])
+
+    def test_calls_only_its_oracle(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the search reached the Monte Carlo layer")
+
+        for name in ("_nested_rows", "_y_table", "_y_batch", "threshold_search", "covariance_factor"):
+            monkeypatch.setattr(detect, name, forbidden)
+        for n_star, n0 in [(5, 300), (700, 40), (3000, 8192), (9000, 8192)]:
+            _, calls = _fake_search(n_star, n0, 8192)
+            assert calls
 
 
 class TestDurationSweep:
