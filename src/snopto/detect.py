@@ -505,8 +505,6 @@ def _bisection_tree(lo: int, hi: int) -> list:
     return [mid] + _bisection_tree(lo, mid) + _bisection_tree(mid, hi)
 
 
-
-
 def _shortest_feasible(score, n0: int, max_samples: int, confidence_p: float) -> tuple:
     """The duration search: the shortest feasible length, to 5% or one sample.
 
