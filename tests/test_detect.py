@@ -182,6 +182,22 @@ class TestLogLikelihood:
         with pytest.raises(ConfigError):
             log_likelihood(s, PEAK)
 
+    # float.hex of the exact log-likelihood of a record drawn under each
+    # featured law (seed 31, dt 0.14) and scored under that law
+    FROZEN = {
+        ("dip", 1429): "-0x1.a82e8c6d0706ap+11",
+        ("dip", 6006): "-0x1.c151b9a48752cp+13",
+        ("peak", 1429): "-0x1.b90b0155243b4p+11",
+        ("peak", 6006): "-0x1.d3059b5d69e3fp+13",
+    }
+
+    @pytest.mark.parametrize("kind,n", list(FROZEN))
+    def test_frozen_bits(self, kind, n):
+        model = {"dip": DIP, "peak": PEAK}[kind]
+        s = gen_baseband(model, n * 0.14, 0.14, seed=31)
+        assert s.n == n
+        assert log_likelihood(s, model).hex() == self.FROZEN[kind, n]
+
     def test_zero_amplitude_alt_gives_exactly_zero_y(self):
         s = gen_baseband(FLAT, 100.0, 0.14, seed=12)
         pair = HypothesisPair(FLAT, BasebandModel("peak", amplitude=0.0, fwhm_gamma=1.0))

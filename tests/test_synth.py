@@ -1,5 +1,6 @@
 """Generators against their own covariance targets, demodulation bookkeeping."""
 
+import hashlib
 import math
 import tracemalloc
 
@@ -494,6 +495,22 @@ class TestDemodulatedRecordFrozen:
                for x in (record.samples, c.samples, s.samples)]
         assert record.n == n
         assert got == self.FROZEN[n]
+
+    # sha256 of the record, the cosine and the sine quadrature at 2^20
+    # samples, the length the benchmark demodulates
+    SHA256 = (
+        "0fa69ec21252e0d08e370edf10c0694d5abb6080f60f1b4f99ab1d47846f2d9e",
+        "1fb12ea491c19b57e9b7d1abd3ddde1c8617ca6624446cb29d47fbe10fdcdcb9",
+        "828f40ffdf98b09817f6a037b5bf3bfcf85136f086f54a602a3ff11a30f6f931",
+    )
+
+    def test_sha256_at_2_20(self):
+        n, dt = 2**20, 0.05
+        record = gen_from_psd(_carrier_psd, n * dt, dt, seed=23)
+        c, s = quadratures(demodulate(record, DemodConfig(10.0, 2.0)))
+        got = tuple(hashlib.sha256(x.samples.tobytes()).hexdigest() for x in (record, c, s))
+        assert record.n == n
+        assert got == self.SHA256
 
 
 class TestDemodulationMemory:
