@@ -29,10 +29,12 @@ feature should use durations well beyond 1/gamma, e.g. the default 200/gamma.
 
 Demodulation mixes a band around a carrier down to zero frequency:
 forward transform, keep the bins in [center - sigma, center + sigma],
-inverse transform, multiply by exp(-i center t). The band mask and the
-mixing run in place, and gen_from_psd scales its draw in place and returns
-a record that owns its samples, so neither holds more than two complex
-arrays of the record's length at once. Since the kept band
+inverse transform, multiply by exp(-i center t). Every transform runs in
+its own input buffer (np.fft's out=, numpy >= 2.0), as do the scaling of
+gen_from_psd's draw and the band mask, so each function holds one complex
+array of the record's length while it transforms; demodulate forms its
+mixer in a second one only after the transforms' work arrays are freed.
+gen_from_psd returns a record that owns its samples. Since the kept band
 lives entirely at positive frequencies the complex baseband is proper
 (its pseudo-spectrum would need support at -2 center, which is outside
 the band), which is exactly why its real and imaginary parts come out as
@@ -271,13 +273,20 @@ class CovarianceFactor:
 def _recur(x: np.ndarray, coefs) -> None:
     """x[j] += c_j x[j - 1] in place for j = 1, 2, ..., with c_1, c_2, ... from coefs.
 
-    Row by row, two ufunc calls per row into one scratch row; a record
-    runs as a column of one-sample rows. Each product and each sum is
-    rounded once, as in x[j] += c * x[j - 1], so a column of a batch comes
-    out bit for bit as the record run alone.
+    A batch runs row by row, two ufunc calls per row into one scratch row;
+    a single record runs as a loop over Python floats. Each product and
+    each sum is rounded once, as in x[j] += c * x[j - 1], so a column of a
+    batch comes out bit for bit as the record run alone.
     """
+    if x.ndim == 1:
+        v = x.tolist()
+        acc = v[0]
+        for j, c in zip(range(1, len(v)), coefs):
+            acc = v[j] = v[j] + c * acc
+        x[:] = v
+        return
     mul, add = np.multiply, np.add  # bound once, not looked up per row
-    rows = list(x[:, None] if x.ndim == 1 else x)
+    rows = list(x)
     t = np.empty_like(rows[0])
     for prev, row, c in zip(rows, rows[1:], coefs):
         add(row, mul(prev, c, t), row)
@@ -446,10 +455,9 @@ def gen_from_psd(psd, duration: float, dt: float, seed: int) -> BasebandSeries:
     lam /= n
     z *= np.sqrt(lam, out=lam)
     del lam
-    spec = np.fft.fft(z)
-    del z
+    np.fft.fft(z, out=z)
     # a contiguous copy, so the record does not pin the complex transform
-    return BasebandSeries(dt=dt, samples=spec.real.copy(), seed=int(seed), model_tag="psd")
+    return BasebandSeries(dt=dt, samples=z.real.copy(), seed=int(seed), model_tag="psd")
 
 
 def demodulate(series: BasebandSeries, cfg: DemodConfig) -> ComplexBaseband:
@@ -468,13 +476,15 @@ def demodulate(series: BasebandSeries, cfg: DemodConfig) -> ComplexBaseband:
     omega = 2 * np.pi * np.fft.fftfreq(n, d=series.dt)
     keep = (omega >= cfg.center - cfg.halfwidth_sigma) & (omega <= cfg.center + cfg.halfwidth_sigma)
     del omega
-    spec = np.fft.fft(series.samples)
-    spec *= keep
-    xi = np.fft.ifft(spec)
-    # exp(-i center t), formed in the spectrum's buffer from its purely
-    # imaginary exponent; a running sum of ones gives the sample indices
-    # exactly, without another array of the record's length
-    mixer = spec
+    xi = series.samples.astype(complex)
+    np.fft.fft(xi, out=xi)
+    xi *= keep
+    np.fft.ifft(xi, out=xi)
+    # exp(-i center t), formed from its purely imaginary exponent; a running
+    # sum of ones gives the sample indices exactly. The transforms' work
+    # arrays are released by now, so this second complex array stays below
+    # the peak the forward transform sets
+    mixer = np.empty_like(xi)
     mixer.real = 0.0
     t = mixer.imag
     t.fill(1.0)

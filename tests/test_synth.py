@@ -1,8 +1,13 @@
 """Generators against their own covariance targets, demodulation bookkeeping."""
 
 import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 from scipy.linalg import toeplitz
 
+import snopto
 from conftest import ORACLE_GRID
 from snopto.errors import ConfigError, DomainError
 from snopto.synth import (
@@ -32,6 +38,7 @@ from snopto.synth import (
 PEAK = BasebandModel("peak", amplitude=10.0, fwhm_gamma=1.0)
 DIP = BasebandModel("dip", amplitude=0.62, fwhm_gamma=1.0)
 FLAT = BasebandModel("flat")
+SRC = Path(snopto.__file__).resolve().parents[1]
 
 
 def _dense_factor(model, n, dt):
@@ -538,6 +545,35 @@ class TestDemodulationMemory:
         finally:
             tracemalloc.stop()
         assert peak / n < 64
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+    def test_peak_rss_per_sample_in_a_fresh_process(self, tmp_path):
+        # tracemalloc misses pocketfft's work arrays (about 32 MB for each
+        # 2^20 complex transform), so read the process's peak RSS: record 8,
+        # one complex buffer 16, mask 1 plus the transform's work arrays
+        # read 58.5 B per sample; a second complex array per transform 74.5.
+        # VmHWM, not ru_maxrss: ru_maxrss keeps the spawning process's peak
+        # across exec, and the test runner's is larger than the child's
+        code = (
+            "import json\n"
+            "import numpy as np\n"
+            "from snopto.synth import DemodConfig, demodulate, gen_from_psd, quadratures\n"
+            "def hwm():\n"
+            "    with open('/proc/self/status') as fh:\n"
+            "        return next(int(line.split()[1]) for line in fh if line.startswith('VmHWM:'))\n"
+            "psd = lambda w: 0.5 + 4.0 / (1.0 + ((np.abs(w) - 10.0) / 0.25) ** 2)\n"
+            "n, dt = 2**20, 0.05\n"
+            "base = hwm()\n"
+            "record = gen_from_psd(psd, n * dt, dt, seed=2)\n"
+            "quadratures(demodulate(record, DemodConfig(10.0, 2.0)))\n"
+            "print(json.dumps((hwm() - base) * 1024 / n))\n"
+        )
+        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) < 64
 
 
 class TestQuadratures:
