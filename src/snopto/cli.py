@@ -40,7 +40,7 @@ import numpy as np
 
 from . import __version__
 from .constants import AMU
-from .detect import HypothesisPair, fit_prediction, outcome_probs, tau_min
+from .detect import HypothesisPair, check_run, fit_prediction, outcome_probs, tau_min
 from .errors import BoundedSearchError, ConfigError, DomainError
 from .feasibility import (
     POST_DESIGN,
@@ -534,6 +534,7 @@ def cmd_taumin(args) -> int:
     fit = fit_prediction(conf["kind"], conf["amp"], conf["gamma"], p=conf["p"])
     fit_block = asdict(fit)
     if conf["fit_only"]:
+        check_run(conf["n"], conf["jobs"], conf["max_samples"])  # the settings the report records
         result = {"fit": fit_block}
     else:
         pair = HypothesisPair(BasebandModel("flat"), _alt_model(conf))

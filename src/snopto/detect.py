@@ -291,11 +291,8 @@ def _y_table(
     """_y_batch over trials 0..n_trials-1, split into `jobs` worker ranges.
 
     Ranges are cut at block boundaries, so no block's stream is drawn by
-    two workers. Every Monte Carlo run passes jobs through here before it
-    draws, so jobs is checked once, here.
+    two workers.
     """
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     args = (truth, alt, ns, dt, master_seed, spawn_prefix)
     if jobs <= 1 or n_trials < 2 * _CHUNK_TRIALS:
         return _y_batch(*args, 0, n_trials)
@@ -309,6 +306,20 @@ def _y_table(
         return np.concatenate([f.result() for f in futs], axis=1)
 
 
+def check_run(n_trials: int, jobs: int, max_samples: int = 2) -> None:
+    """Refuse a trial count, worker count or length cap no Monte Carlo run takes.
+
+    y_ensemble and tau_min check here before they draw; a caller that
+    records these settings without running the search checks here too.
+    """
+    if n_trials < 1:
+        raise ConfigError("n_trials must be >= 1")
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    if max_samples < 2:
+        raise ConfigError(f"max_samples must be >= 2, got {max_samples}")
+
+
 def y_ensemble(
     truth: BasebandModel,
     pair: HypothesisPair,
@@ -320,8 +331,7 @@ def y_ensemble(
 ) -> np.ndarray:
     """n_trials independent draws of Y under the given truth."""
     n = _record_length(duration, dt)
-    if n_trials < 1:
-        raise ConfigError("n_trials must be >= 1")
+    check_run(n_trials, jobs)
     _check_resolution(truth, dt)
     if pair.alt_model.amplitude > 0:
         _check_resolution(pair.alt_model, dt)
@@ -616,10 +626,7 @@ def tau_min(
         raise ConfigError(f"confidence_p must be in (0, 1), got {confidence_p}")
     if dt_gamma <= 0 or dt_gamma > 0.5:
         raise ConfigError(f"dt_gamma must be in (0, 0.5], got {dt_gamma}")
-    if n_trials < 1:
-        raise ConfigError("n_trials must be >= 1")
-    if max_samples < 2:
-        raise ConfigError(f"max_samples must be >= 2, got {max_samples}")
+    check_run(n_trials, jobs, max_samples)
     gamma = pair.gamma
     dt = dt_gamma / gamma
     fit = fit_prediction(pair.alt_model.kind, pair.alt_model.amplitude, gamma, p=100 * confidence_p)

@@ -396,6 +396,18 @@ class TestTauMin:
                      "--outdir", str(tmp_path)]) == 2
         assert "n_trials must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--n", "0"], "n_trials must be >= 1"),
+        (["--jobs", "0"], "jobs must be >= 1, got 0"),
+        (["--max-samples", "1"], "max_samples must be >= 2, got 1"),
+    ], ids=["n", "jobs", "max_samples"])
+    def test_fit_only_refuses_what_the_search_refuses(self, tmp_path, capsys, flags, message):
+        outdir = tmp_path / "out"
+        assert main(["taumin", "--kind", "dip", "--amp", "0.62", "--fit-only", *flags,
+                     "--outdir", str(outdir)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not outdir.exists()
+
 
 class TestFeasibility:
     def test_pre_matches_library(self, tmp_path):
