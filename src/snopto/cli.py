@@ -534,7 +534,8 @@ def cmd_taumin(args) -> int:
     fit = fit_prediction(conf["kind"], conf["amp"], conf["gamma"], p=conf["p"])
     fit_block = asdict(fit)
     if conf["fit_only"]:
-        check_run(conf["n"], conf["jobs"], conf["max_samples"])  # the settings the report records
+        # tau_min does not run, but the report records its settings
+        check_run(conf["n"], conf["jobs"], conf["max_samples"])
         result = {"fit": fit_block}
     else:
         pair = HypothesisPair(BasebandModel("flat"), _alt_model(conf))

@@ -311,6 +311,7 @@ def check_run(n_trials: int, jobs: int, max_samples: int = 2) -> None:
 
     y_ensemble and tau_min check here before they draw; a caller that
     records these settings without running the search checks here too.
+    A run without a length search leaves max_samples at the least allowed.
     """
     if n_trials < 1:
         raise ConfigError("n_trials must be >= 1")

@@ -1,7 +1,6 @@
 """Generators against their own covariance targets, demodulation bookkeeping."""
 
 import hashlib
-import json
 import math
 import os
 import subprocess
@@ -548,14 +547,12 @@ class TestDemodulationMemory:
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
     def test_peak_rss_per_sample_in_a_fresh_process(self, tmp_path):
-        # tracemalloc misses pocketfft's work arrays (about 32 MB for each
-        # 2^20 complex transform), so read the process's peak RSS: record 8,
-        # one complex buffer 16, mask 1 plus the transform's work arrays
-        # read 58.5 B per sample; a second complex array per transform 74.5.
-        # VmHWM, not ru_maxrss: ru_maxrss keeps the spawning process's peak
-        # across exec, and the test runner's is larger than the child's
+        # tracemalloc misses pocketfft's work arrays (about 32 MB per 2^20
+        # complex transform), so read the peak RSS: record 8, one complex
+        # buffer 16, mask 1 and the work arrays read 58.5 B per sample, a
+        # second complex array per transform 74.5. VmHWM, not ru_maxrss,
+        # which keeps the spawning test runner's larger peak across exec
         code = (
-            "import json\n"
             "import numpy as np\n"
             "from snopto.synth import DemodConfig, demodulate, gen_from_psd, quadratures\n"
             "def hwm():\n"
@@ -566,14 +563,14 @@ class TestDemodulationMemory:
             "base = hwm()\n"
             "record = gen_from_psd(psd, n * dt, dt, seed=2)\n"
             "quadratures(demodulate(record, DemodConfig(10.0, 2.0)))\n"
-            "print(json.dumps((hwm() - base) * 1024 / n))\n"
+            "print((hwm() - base) * 1024 / n)\n"
         )
         env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) < 64
+        assert float(proc.stdout) < 64
 
 
 class TestQuadratures:
