@@ -54,6 +54,17 @@ class TestParseQuantity:
         assert parse_quantity(0.14) == 0.14
         assert parse_quantity(7) == 7.0
 
+    @pytest.mark.parametrize("text,message", [
+        ("1e400 s", "non-finite quantity '1e400 s'"),
+        # "W" is the first suffix whose head parses, so nan is refused as a value
+        ("nanW", "non-finite quantity 'nanW'"),
+        ("Hz", "cannot parse quantity 'Hz'"),
+    ])
+    def test_error_messages(self, text, message):
+        with pytest.raises(ConfigError) as exc:
+            parse_quantity(text)
+        assert str(exc.value) == message
+
 
 class TestConfigFile:
     def test_key_value_document(self, tmp_path):
@@ -82,6 +93,13 @@ class TestConfigFile:
         p = tmp_path / "r.json"
         p.write_text(json.dumps({"config": {"amp": 0.62, "kind": "dip"}}))
         assert load_config(p) == {"amp": 0.62, "kind": "dip"}
+
+    def test_json_config_block_must_be_an_object(self, tmp_path, capsys):
+        p = tmp_path / "r.json"
+        p.write_text(json.dumps({"config": [1, 2]}))
+        assert main(["spectrum", "--config", str(p), "--outdir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {p}: JSON config block must be an object\n"
+        assert list(tmp_path.iterdir()) == [p]
 
     def test_malformed_json_exits_two(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
@@ -302,6 +320,12 @@ class TestSynth:
         assert main(["synth", "--kind", "flat", "--duration", "10", "--dt", "0.1",
                      "--outdir", str(tmp_path)]) == 0
 
+    def test_peak_needs_amp(self, tmp_path, capsys):
+        assert main(["synth", "--kind", "peak", "--duration", "10", "--dt", "0.1",
+                     "--outdir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: --amp is required for kind 'peak'\n"
+        assert not list(tmp_path.iterdir())
+
     def test_domain_error_exits_one(self, tmp_path, capsys):
         rc = main(["synth", "--kind", "dip", "--amp", "1.5", "--gamma", "1",
                    "--duration", "10", "--dt", "0.1", "--outdir", str(tmp_path)])
@@ -440,6 +464,34 @@ class TestFeasibility:
         payload = json.loads((tmp_path / "feasibility_pre_seed0.json").read_text())
         assert payload["config"]["omega_cm"] == pytest.approx(TWO_PI * 0.010, rel=1e-12)
         assert payload["config"]["mass"] == 0.2
+
+    @pytest.mark.parametrize("value,sweep", [
+        ("yes", True), ("on", True), ("1", True), ("true", True),
+        ("no", False), ("off", False), ("0", False), ("false", False),
+    ])
+    def test_sweep_spellings_in_a_config_file(self, tmp_path, value, sweep):
+        # a key = value switch replays the flag run byte for byte
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"prescription = pre\nn_grid = 121\nsweep = {value}\n")
+        assert main(["feasibility", "--config", str(conf), "--outdir", str(tmp_path / "file")]) == 0
+        flags = ["--sweep"] if sweep else []
+        assert main(["feasibility", "--prescription", "pre", "--n-grid", "121", *flags,
+                     "--outdir", str(tmp_path / "flag")]) == 0
+        names = sorted(f.name for f in (tmp_path / "flag").iterdir())
+        assert names == sorted(f.name for f in (tmp_path / "file").iterdir())
+        assert ("feasibility_pre_seed0_sweep.csv" in names) is sweep
+        for name in names:
+            assert (tmp_path / "file" / name).read_bytes() == (tmp_path / "flag" / name).read_bytes()
+        payload = json.loads((tmp_path / "file" / "feasibility_pre_seed0.json").read_text())
+        assert payload["config"]["sweep"] is sweep
+
+    def test_sweep_must_be_a_boolean(self, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("prescription = pre\nsweep = maybe\n")
+        outdir = tmp_path / "out"
+        assert main(["feasibility", "--config", str(conf), "--outdir", str(outdir)]) == 2
+        assert capsys.readouterr().err == "error: expected a boolean, got 'maybe'\n"
+        assert not outdir.exists()
 
 
     def test_config_round_trip(self, tmp_path):
