@@ -67,7 +67,7 @@ _TWO_PI = 2.0 * math.pi
 
 # Suffix -> factor to SI. The hertz family lands in rad/s on purpose.
 # Matching tries longer suffixes first so "mHz" wins over "Hz" and
-# "amu" over a bare trailing letter.
+# "amu" over a bare trailing letter; the last row reads a bare number.
 _UNITS = [
     ("THz", _TWO_PI * 1e12),
     ("GHz", _TWO_PI * 1e9),
@@ -95,6 +95,7 @@ _UNITS = [
     ("h", 3600.0),
     ("d", 86400.0),
     ("s", 1.0),
+    ("", 1.0),
 ]
 
 
@@ -104,24 +105,17 @@ def parse_quantity(text) -> float:
         return float(text)
     s = str(text).strip()
     for suffix, factor in _UNITS:
-        if s.endswith(suffix):
-            head = s[: -len(suffix)].strip()
-            if not head:
-                continue
-            try:
-                value = float(head) * factor
-            except ValueError:
-                continue
-            if not math.isfinite(value):
-                raise ConfigError(f"non-finite quantity {text!r}")
-            return value
-    try:
-        value = float(s)
-    except ValueError:
-        raise ConfigError(f"cannot parse quantity {text!r}") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"non-finite quantity {text!r}")
-    return value
+        head = s[: len(s) - len(suffix)].strip()
+        if not s.endswith(suffix) or not head:
+            continue
+        try:
+            value = float(head) * factor
+        except ValueError:
+            continue
+        if not math.isfinite(value):
+            raise ConfigError(f"non-finite quantity {text!r}")
+        return value
+    raise ConfigError(f"cannot parse quantity {text!r}")
 
 
 def _to_int(value) -> int:
@@ -136,7 +130,7 @@ def _to_int(value) -> int:
         f = float(value)
     except (TypeError, ValueError):
         f = math.nan
-    if isinstance(value, bool) or not math.isfinite(f) or not f.is_integer():
+    if isinstance(value, bool) or not f.is_integer():
         raise ConfigError(f"expected an integer, got {value!r}")
     return int(f)
 
@@ -200,32 +194,27 @@ _REQUIRED = object()
 
 def resolve(args, spec: dict) -> dict:
     """Three-layer merge: defaults, then config file, then explicit flags."""
-    file_conf = load_config(args.config) if getattr(args, "config", None) else {}
-    unknown = set(file_conf) - set(spec)
+    file_conf = load_config(args.config) if args.config else {}
     conf = {}
     for key, default in spec.items():
-        cli_value = getattr(args, key, None)
-        if key in _BOOL_KEYS and cli_value is False:
-            cli_value = None  # store_true flags: absent means "not set here"
-        if cli_value is not None:
-            conf[key] = _convert(key, cli_value)
+        if getattr(args, key) is not None:
+            conf[key] = _convert(key, getattr(args, key))
         elif file_conf.get(key) is not None:
             conf[key] = _convert(key, file_conf[key])
         elif default is _REQUIRED:
             raise ConfigError(f"missing required option --{key.replace('_', '-')}")
         else:
             conf[key] = default
+    # emitted configs legitimately carry keys for other subcommands' shared
+    # knobs; only complain about ones nothing recognizes
+    unknown = set(file_conf) - _ALL_KEYS
     if unknown:
-        # emitted configs legitimately carry keys for other subcommands'
-        # shared knobs; only complain about ones nothing recognizes
-        hopeless = {k for k in unknown if k not in _ALL_KEYS}
-        if hopeless:
-            raise ConfigError(f"unknown config keys: {sorted(hopeless)}")
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     return conf
 
 
 def _outdir(args) -> Path:
-    d = getattr(args, "outdir", None) or os.environ.get("SNOPTO_OUTDIR") or "."
+    d = args.outdir or os.environ.get("SNOPTO_OUTDIR") or "."
     p = Path(d)
     p.mkdir(parents=True, exist_ok=True)
     return p
@@ -389,25 +378,14 @@ def cmd_material(args) -> int:
         table = [(spec, derive(spec))]
     else:
         raise ConfigError("give a material name or --all")
-    rows = []
+    keys = ("name", "atomic_mass_amu", "debye_waller_A2", "density_g_cm3", "delta_x_zp_pm", "omega_sn")
+    widths = [max(len(k), 12) for k in keys]
+    print("  ".join(k.ljust(w) for k, w in zip(keys, widths)))
     for spec, d in table:
-        rows.append({
-            "name": spec.name,
-            "atomic_mass_amu": spec.atomic_mass / AMU,
-            "debye_waller_A2": spec.debye_waller_B / 1e-20,
-            "density_g_cm3": spec.density / 1e3,
-            "delta_x_zp_pm": d.delta_x_zp / 1e-12,
-            "omega_sn": d.omega_sn,
-        })
-    keys = list(rows[0])
-    widths = {k: max(len(k), 12) for k in keys}
-    print("  ".join(k.ljust(widths[k]) for k in keys))
-    for row in rows:
-        cells = []
-        for k in keys:
-            v = row[k]
-            cells.append((f"{v:.4f}" if isinstance(v, float) else str(v)).ljust(widths[k]))
-        print("  ".join(cells))
+        values = (spec.atomic_mass / AMU, spec.debye_waller_B / 1e-20, spec.density / 1e3,
+                  d.delta_x_zp / 1e-12, d.omega_sn)
+        cells = (spec.name, *(f"{v:.4f}" for v in values))
+        print("  ".join(c.ljust(w) for c, w in zip(cells, widths)))
     return 0
 
 
@@ -597,7 +575,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = subs.add_parser(name, help=globals()["cmd_" + name].__doc__)
         for key in ("config", "outdir", *spec):
             label = key == "seed" and name in _LABEL_SEED
-            p.add_argument("--" + key.replace("_", "-"), dest=key,
+            # default None: an option not given is None, switches included
+            p.add_argument("--" + key.replace("_", "-"), dest=key, default=None,
                            help=_LABEL_SEED_HELP if label else _HELP.get(key),
                            action="store_true" if key in _BOOL_KEYS else "store")
     return parser
