@@ -40,7 +40,7 @@ import numpy as np
 
 from . import __version__
 from .constants import AMU
-from .detect import HypothesisPair, check_run, fit_prediction, outcome_probs, tau_min
+from .detect import HypothesisPair, check_search, fit_prediction, outcome_probs, tau_min
 from .errors import BoundedSearchError, ConfigError, DomainError
 from .feasibility import (
     POST_DESIGN,
@@ -511,17 +511,14 @@ def cmd_taumin(args) -> int:
     conf = resolve(args, _SPECS["taumin"])
     fit = fit_prediction(conf["kind"], conf["amp"], conf["gamma"], p=conf["p"])
     fit_block = asdict(fit)
+    settings = (conf["p"] / 100.0, conf["dt_gamma"], conf["n"], conf["seed"], conf["jobs"], conf["max_samples"])
     if conf["fit_only"]:
         # tau_min does not run, but the report records its settings
-        check_run(conf["n"], conf["jobs"], conf["max_samples"])
+        check_search(*settings)
         result = {"fit": fit_block}
     else:
         pair = HypothesisPair(BasebandModel("flat"), _alt_model(conf))
-        res = tau_min(
-            pair, conf["p"] / 100.0, dt_gamma=conf["dt_gamma"], n_trials=conf["n"],
-            master_seed=conf["seed"], jobs=conf["jobs"], max_samples=conf["max_samples"],
-        )
-        result = {**res.as_dict(), "fit": fit_block}
+        result = {**tau_min(pair, *settings).as_dict(), "fit": fit_block}
     out = _outdir(args)
     path = out / f"taumin_{conf['kind']}_seed{conf['seed']}.json"
     _emit_json(path, "taumin", conf, result)

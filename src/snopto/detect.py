@@ -54,6 +54,7 @@ from .synth import (
     BasebandModel,
     BasebandSeries,
     _check_resolution,
+    _check_seed,
     _record_length,
     _tiles,
     covariance_factor,
@@ -306,19 +307,30 @@ def _y_table(
         return np.concatenate([f.result() for f in futs], axis=1)
 
 
-def check_run(n_trials: int, jobs: int, max_samples: int = 2) -> None:
-    """Refuse a trial count, worker count or length cap no Monte Carlo run takes.
-
-    y_ensemble and tau_min check here before they draw; a caller that
-    records these settings without running the search checks here too.
-    A run without a length search leaves max_samples at the least allowed.
-    """
+def check_run(n_trials: int, jobs: int) -> None:
+    """Refuse a trial or worker count no Monte Carlo run takes."""
     if n_trials < 1:
         raise ConfigError("n_trials must be >= 1")
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
+
+
+def check_search(
+    confidence_p: float, dt_gamma: float, n_trials: int, master_seed: int, jobs: int, max_samples: int
+) -> None:
+    """Refuse every setting of tau_min that no search takes.
+
+    tau_min checks here before it draws; a caller that records these
+    settings without running the search checks here too.
+    """
+    if not 0 < confidence_p < 1:
+        raise ConfigError(f"confidence_p must be in (0, 1), got {confidence_p}")
+    if dt_gamma <= 0 or dt_gamma > 0.5:
+        raise ConfigError(f"dt_gamma must be in (0, 0.5], got {dt_gamma}")
+    check_run(n_trials, jobs)
     if max_samples < 2:
         raise ConfigError(f"max_samples must be >= 2, got {max_samples}")
+    _check_seed(master_seed)
 
 
 def y_ensemble(
@@ -334,8 +346,11 @@ def y_ensemble(
     n = _record_length(duration, dt)
     check_run(n_trials, jobs)
     _check_resolution(truth, dt)
-    if pair.alt_model.amplitude > 0:
-        _check_resolution(pair.alt_model, dt)
+    if pair.alt_model.amplitude == 0:
+        # the two laws coincide, so every Y is exactly zero; nothing is drawn
+        _check_seed(master_seed)
+        return np.zeros(n_trials)
+    _check_resolution(pair.alt_model, dt)
     return _y_table(truth, pair.alt_model, [n], dt, n_trials, master_seed, (), jobs)[0]
 
 
@@ -623,11 +638,7 @@ def tau_min(
     """
     if pair.alt_model.amplitude <= 0:
         raise DomainError("tau_min needs a nonzero alternative amplitude")
-    if not 0 < confidence_p < 1:
-        raise ConfigError(f"confidence_p must be in (0, 1), got {confidence_p}")
-    if dt_gamma <= 0 or dt_gamma > 0.5:
-        raise ConfigError(f"dt_gamma must be in (0, 0.5], got {dt_gamma}")
-    check_run(n_trials, jobs, max_samples)
+    check_search(confidence_p, dt_gamma, n_trials, master_seed, jobs, max_samples)
     gamma = pair.gamma
     dt = dt_gamma / gamma
     fit = fit_prediction(pair.alt_model.kind, pair.alt_model.amplitude, gamma, p=100 * confidence_p)

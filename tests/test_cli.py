@@ -371,6 +371,14 @@ class TestDetect:
         assert main(["detect", "--truth", "dip", "--amp", "0.62"]) == 2
         assert "--duration" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("truth", ["flat", "peak"])
+    def test_featureless_alternative_decides_nothing(self, tmp_path, truth):
+        # two identical laws: Y is exactly zero, so no trial passes y_th = 0
+        assert main(["detect", "--kind", "peak", "--amp", "0", "--truth", truth, "--yth", "0",
+                     "--duration", "14", "--dt", "0.14", "--n", "300", "--outdir", str(tmp_path)]) == 0
+        r = json.loads((tmp_path / f"detect_{truth}_seed0.json").read_text())["result"]
+        assert (r["p_correct"], r["p_wrong"], r["p_indecision"]) == (0.0, 0.0, 1.0)
+
 
 class TestTauMin:
     def test_fit_only_matches_printed_fit(self, tmp_path):
@@ -424,7 +432,10 @@ class TestTauMin:
         (["--n", "0"], "n_trials must be >= 1"),
         (["--jobs", "0"], "jobs must be >= 1, got 0"),
         (["--max-samples", "1"], "max_samples must be >= 2, got 1"),
-    ], ids=["n", "jobs", "max_samples"])
+        (["--dt-gamma", "0"], "dt_gamma must be in (0, 0.5], got 0.0"),
+        (["--dt-gamma", "0.6"], "dt_gamma must be in (0, 0.5], got 0.6"),
+        (["--seed", "-1"], "master seed must be >= 0, got -1"),
+    ], ids=["n", "jobs", "max_samples", "dt_gamma_zero", "dt_gamma_above_half", "seed"])
     def test_fit_only_refuses_what_the_search_refuses(self, tmp_path, capsys, flags, message):
         outdir = tmp_path / "out"
         assert main(["taumin", "--kind", "dip", "--amp", "0.62", "--fit-only", *flags,

@@ -482,6 +482,18 @@ class TestEngine:
         with pytest.raises(ConfigError):
             y_ensemble(DIP, PAIR_DIP, 100.0, 0.7, 10, 0)  # unresolved feature
 
+    def test_featureless_alternative_gives_exactly_zero_y(self):
+        # the two laws coincide, so Y is zero in every trial, as estimator_y
+        # gives it, under either truth; the settings are still checked
+        pair = HypothesisPair(FLAT, BasebandModel("peak", amplitude=0.0, fwhm_gamma=1.0))
+        for truth in (FLAT, pair.alt_model):
+            y = y_ensemble(truth, pair, 14.0, 0.14, 100, 0)
+            assert y.dtype == np.float64 and np.array_equal(y, np.zeros(100))
+        with pytest.raises(ConfigError, match="master seed must be >= 0, got -1"):
+            y_ensemble(FLAT, pair, 14.0, 0.14, 100, -1)
+        with pytest.raises(ConfigError, match="n_trials"):
+            y_ensemble(FLAT, pair, 14.0, 0.14, 0, 0)
+
 
 class TestOutcomeProbs:
     def test_deterministic(self):
