@@ -222,6 +222,18 @@ class BetaSweep(NamedTuple):
     law_ratio: float  # beta_opt * gamma_sq / 0.31
 
 
+def check_sweep(p: float, n_grid: int) -> None:
+    """Refuse every setting of optimize_beta that no sweep takes.
+
+    optimize_beta checks here before it sweeps; a caller that records these
+    settings without sweeping checks here too.
+    """
+    if not 0 < p < 100:
+        raise ConfigError(f"p must be a percentage in (0, 100), got {p}")
+    if n_grid < 16:
+        raise ConfigError(f"n_grid must be at least 16, got {n_grid}")
+
+
 def optimize_beta(gamma_sq: float, gamma_m: float, p: float = 10.0, n_grid: int = 481) -> BetaSweep:
     """Numeric sweep of the measurement strength for the dip signature.
 
@@ -233,10 +245,7 @@ def optimize_beta(gamma_sq: float, gamma_m: float, p: float = 10.0, n_grid: int 
     """
     if gamma_sq <= 0 or gamma_m <= 0:
         raise DomainError("gamma_sq and gamma_m must be > 0")
-    if not 0 < p < 100:
-        raise ConfigError(f"p must be a percentage in (0, 100), got {p}")
-    if n_grid < 16:
-        raise ConfigError(f"n_grid must be at least 16, got {n_grid}")
+    check_sweep(p, n_grid)
     betas = np.geomspace(1e-2 / gamma_sq, 1e2 / gamma_sq, n_grid)
     taus = np.empty(n_grid)
     depths = np.empty(n_grid)

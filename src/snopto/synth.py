@@ -378,7 +378,8 @@ def normals(master_seed: int, prefix: tuple, n: int, lo: int, hi: int) -> np.nda
 
 
 def _check_resolution(model: BasebandModel, dt: float):
-    if model.kind != "flat" and dt * model.fwhm_gamma > 0.5:
+    # a flat or amplitude-0 law has no feature to resolve
+    if model.amplitude != 0 and dt * model.fwhm_gamma > 0.5:
         raise ConfigError(
             f"dt * gamma = {dt * model.fwhm_gamma:.3f} > 0.5: the feature is unresolved"
         )

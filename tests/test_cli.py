@@ -8,11 +8,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snopto import __version__, cli
 from snopto.cli import _ALL_KEYS, _SPECS, _emit_csv, build_parser, load_config, main, parse_quantity
+from snopto.csvtext import rows_g17
 from snopto.errors import ConfigError
-from snopto.feasibility import ExperimentConfig, pre_report
+from snopto.feasibility import PRE_DESIGN, ExperimentConfig, pre_report
+from snopto.gaussian_dynamics import GaussianState, evolve_moments
 from snopto.materials import get_material, omega_sn
 from snopto.synth import BasebandModel, gen_baseband, read_series
 
@@ -252,6 +256,79 @@ class TestEmitCsv:
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
+def _percent_rows(block) -> bytes:
+    """The rows as one Python string format writes them: the oracle."""
+    rows, cols = block.shape
+    row_fmt = " ".join(["%.17g"] * cols) + "\n"
+    return ((row_fmt * rows) % tuple(block.ravel().tolist())).encode()
+
+
+class TestG17Rows:
+    """`rows_g17` writes the bytes of Python's "%.17g", value for value."""
+
+    @staticmethod
+    def check(values, cols=1):
+        values = np.asarray(values, dtype=float).ravel()
+        block = values[:values.size - values.size % cols].reshape(-1, cols)
+        for start in range(0, len(block), 4096):
+            part = block[start:start + 4096]
+            got, want = rows_g17(part), _percent_rows(part)
+            if got != want:
+                bad = [(g, w) for g, w in zip(got.split(b"\n"), want.split(b"\n")) if g != w]
+                pytest.fail(f"{len(bad)} rows differ, first {bad[0]}")
+
+    @pytest.mark.parametrize("cols", [1, 7])
+    def test_random_bit_patterns(self, cols):
+        # every exponent, subnormals, nan payloads; then the named specials
+        bits = np.random.default_rng(cols).integers(0, 2**64, 10**6, dtype=np.uint64)
+        self.check(bits.view(np.float64), cols)
+        specials = np.array([0, 2**63, 0x7FF0 << 48, 0xFFF0 << 48, 0x7FF8 << 48, 0xFFF8 << 48,
+                             0x7FF0000000000001, 0xFFFFFFFFFFFFFFFF, 1, 2**63 + 1,
+                             0x000FFFFFFFFFFFFF, 0x0010000000000000], dtype=np.uint64)
+        self.check(specials.view(np.float64), 1)
+
+    def test_powers_of_ten_and_neighbours(self):
+        # the exponent estimate and the carry to the next power of ten
+        p = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        values = np.concatenate([p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)])
+        self.check(np.concatenate([values, -values]), 1)
+        self.check(np.concatenate([values, -values])[:-1], 3)
+
+    def test_exact_ties(self):
+        # m / 4 has 18 significant digits ending in 5: %.17g rounds half to even
+        m = np.random.default_rng(1).integers(4 * 10**15, 9 * 10**15, 10**5) | 1
+        self.check(m / 4.0, 7)
+        self.check(-m / 4.0, 1)
+        # and at every scale: q 2^-(k+1) scales to q 5^k / 2
+        ties = [math.ldexp(q, -k - 1) for k in range(25) for q in range(1, 2001, 2)
+                if 2 * 10**16 <= q * 5**k < 2 * 10**17]
+        self.check(ties, 1)
+
+    def test_integers(self):
+        self.check(np.random.default_rng(2).integers(0, 2**63, 10**5, dtype=np.int64).astype(float), 7)
+        powers = 2.0 ** np.arange(64)
+        self.check(np.concatenate([powers, powers - 1, powers + 1, -powers, np.arange(-1000.0, 1000.0)]), 1)
+
+    @pytest.mark.parametrize("places", range(8))
+    def test_rounded_decimals(self, places):
+        rng = np.random.default_rng(places)
+        values = np.round(rng.standard_normal(7 * 10**4) * 10.0 ** rng.integers(-3, 6, 7 * 10**4), places)
+        self.check(values, 7)
+
+    def test_zero_columns(self):
+        block = np.random.default_rng(3).standard_normal((5000, 7))
+        block[:, 1] = 0.0
+        block[:, 2] = -0.0
+        self.check(block, 7)
+        self.check(np.zeros(7000), 7)
+        self.check(-np.zeros(10), 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=64), st.integers(1, 4))
+    def test_any_float(self, values, cols):
+        self.check(np.array(values * cols), cols)
+
+
 class TestDynamics:
     def test_trajectory_csv(self, tmp_path):
         assert main(["dynamics", "--t-final", "100", "--dt", "0.0034",
@@ -300,6 +377,17 @@ class TestDynamics:
         assert main(["dynamics"]) == 2
         assert "t-final" in capsys.readouterr().err
 
+    def test_csv_reads_back_the_records(self, tmp_path):
+        # %.17g round-trips every double, so the file holds the records bit for bit
+        assert main(["dynamics", "--t-final", "80", "--store-every", "3", "--squeeze", "0.3",
+                     "--x0", "2e-16", "--p0", "1e-18", "--outdir", str(tmp_path)]) == 0
+        exp = ExperimentConfig.build(**PRE_DESIGN)
+        state = GaussianState.ground(exp.osc).squeezed(0.3).displaced(2e-16, 1e-18)
+        traj = evolve_moments(state, exp.osc, 80.0, None, 0.5, 3)
+        records = np.column_stack([traj.times, traj.mean_x, traj.mean_p, traj.var_xx,
+                                   traj.cov_xp, traj.var_pp, traj.energy])
+        assert np.array_equal(np.loadtxt(tmp_path / "dynamics_W_seed0.csv"), records)
+
 
 class TestSynth:
     def test_round_trip_and_determinism(self, tmp_path):
@@ -315,6 +403,14 @@ class TestSynth:
         assert series.n == 714 and series.dt == 0.14 and series.seed == 7
         assert series.model_tag == drawn.model_tag
         assert np.array_equal(series.samples, drawn.samples)
+
+    @pytest.mark.parametrize("kind,amp", [("dip", 0.62), ("peak", 30.0)])
+    def test_csv_reads_back_the_draw(self, tmp_path, kind, amp):
+        assert main(["synth", "--kind", kind, "--amp", repr(amp), "--duration", "1400",
+                     "--dt", "0.14", "--seed", "11", "--outdir", str(tmp_path)]) == 0
+        drawn = gen_baseband(BasebandModel(kind, amplitude=amp, fwhm_gamma=1.0), 1400.0, 0.14, 11)
+        series = read_series(tmp_path / f"synth_{kind}_seed11.csv")
+        assert series.samples.tobytes() == drawn.samples.tobytes()
 
     def test_flat_needs_no_amp(self, tmp_path):
         assert main(["synth", "--kind", "flat", "--duration", "10", "--dt", "0.1",
@@ -378,6 +474,16 @@ class TestDetect:
                      "--duration", "14", "--dt", "0.14", "--n", "300", "--outdir", str(tmp_path)]) == 0
         r = json.loads((tmp_path / f"detect_{truth}_seed0.json").read_text())["result"]
         assert (r["p_correct"], r["p_wrong"], r["p_indecision"]) == (0.0, 0.0, 1.0)
+
+    def test_featureless_truth_needs_no_resolution(self, tmp_path):
+        # dt * gamma = 1 would leave a feature unresolved, but there is none
+        rates = []
+        for truth in ("peak", "flat"):
+            assert main(["detect", "--kind", "peak", "--amp", "0", "--truth", truth, "--yth", "0",
+                         "--duration", "14", "--dt", "1", "--n", "10", "--outdir", str(tmp_path)]) == 0
+            r = json.loads((tmp_path / f"detect_{truth}_seed0.json").read_text())["result"]
+            rates.append((r["p_correct"], r["p_wrong"], r["p_indecision"]))
+        assert rates[0] == rates[1]
 
 
 class TestTauMin:
@@ -495,6 +601,17 @@ class TestFeasibility:
             assert (tmp_path / "file" / name).read_bytes() == (tmp_path / "flag" / name).read_bytes()
         payload = json.loads((tmp_path / "file" / "feasibility_pre_seed0.json").read_text())
         assert payload["config"]["sweep"] is sweep
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--p", "0"], "p must be a percentage in (0, 100), got 0.0"),
+        (["--n-grid", "1"], "n_grid must be at least 16, got 1"),
+    ])
+    @pytest.mark.parametrize("sweep", [[], ["--sweep"]], ids=["report", "sweep"])
+    def test_refuses_what_the_sweep_refuses(self, tmp_path, capsys, flags, message, sweep):
+        outdir = tmp_path / "out"
+        assert main(["feasibility", "--prescription", "pre", *flags, *sweep, "--outdir", str(outdir)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not outdir.exists()
 
     def test_sweep_must_be_a_boolean(self, tmp_path, capsys):
         conf = tmp_path / "run.conf"
