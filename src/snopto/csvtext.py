@@ -2,9 +2,33 @@
 
 rows_g17 returns, byte for byte, what Python's "%.17g" writes for every
 value of a block, space separated, one line per row: the text
-np.savetxt(..., fmt="%.17g") writes. snopto.cli._emit_csv states why the
-bytes are exact. The module is imported at the first CSV write, so
-commands that write no CSV never compile it.
+np.savetxt(..., fmt="%.17g") writes. The module is imported at the first
+CSV write, so commands that write no CSV never compile it.
+
+Every value goes through one vector pass; then one boolean mask, vec,
+sends it down exactly one of two routes.
+
+The vector route. With e = floor(log10|x|) and k = 16 - e, the 17
+significant digits D = round(|x| 10^k) come from a double-double
+product: p = fl(|x| hi) plus t, the exact error of that product
+(Dekker's two-product) plus |x| lo, where hi + lo is 10^k to about
+2^-106. Values with |x| outside [1e-280, 1e280], where the splitting
+could overflow or lose bits, are scaled as 1.0; zeros, infinities and
+nans are among them. For a value in range, |t| is at most half the
+spacing of doubles at p, and t is within 1e-14 of |x| 10^k - p. A value
+keeps its vector digits when it is in range, p + t >= 1e16 (log10 may
+miss the exponent by one near a power of ten), D = p + rint(t) < 10^17,
+and t is at least 1e-6 from a half-integer. Then p lies above 2^53,
+where every double is a whole number, rint(t) rounds the exact rest of
+|x| 10^k, so D is correctly rounded, and D < 10^17 puts |x| 10^k below
+10^17: e is the exponent "%.17g" writes. Zeros take this route too,
+spelled as D = 0 at exponent 0.
+
+The Python route. Every other value is formatted by Python's own
+correctly rounded "%.17g": values out of range, infinities and nans,
+misses of the exponent estimate, values that round up to 10^17, and
+values near a tie (exact ties among them, which "%.17g" rounds half to
+even). So every byte equals that of "%.17g" % x.
 """
 
 import functools
@@ -39,14 +63,11 @@ def _word(text: bytes) -> int:
 # exponent digits and the column separator. So digit j sits at byte 2j + 6
 # and the point after it at 2j + 7.
 _WORD0 = _word(b"-0.000\0.")
-_INF = _word(b"-inf")
-_NAN = _word(b"-nan")
 _SPACE_TO_NUL = bytes.maketrans(b" ", b"\0")
 # layouts: X + 4 for fixed notation at exponent X in [-4, 16], then
 # exponent notation with a negative or positive exponent of two or three
-# digits, then inf or nan (word 0 spells them); a value's key is
-# (layout * 17 + digits - 1) * 2 + sign
-_EXP_LAYOUT, _NONFINITE_LAYOUT = 21, 25
+# digits; a value's key is (layout * 17 + digits - 1) * 2 + sign
+_EXP_LAYOUT = 21
 
 
 def _mask(layout: int, ndigits: int, negative: bool) -> list:
@@ -60,10 +81,8 @@ def _mask(layout: int, ndigits: int, negative: bool) -> list:
         # the integer digits, then a point if any digit follows them
         point = [2 * x + 7] if ndigits > x + 1 else []
         return keep + [2 * j + 6 for j in range(max(ndigits, x + 1))] + point
-    if layout < _NONFINITE_LAYOUT:
-        three = (layout - _EXP_LAYOUT) % 2  # keep the hundreds digit
-        return keep + digits + ([7] if ndigits > 1 else []) + [40, 41] + [42] * three + [43, 44]
-    return keep + [1, 2, 3]
+    three = (layout - _EXP_LAYOUT) % 2  # keep the hundreds digit
+    return keep + digits + ([7] if ndigits > 1 else []) + [40, 41] + [42] * three + [43, 44]
 
 
 @functools.cache
@@ -91,8 +110,8 @@ def _tables():
     exp_words = np.array([_word(b"e%c%03d" % (ord("-" if x < 0 else "+"), abs(x))) for x in xs], _U64LE)
     layouts = [x + 4 if -4 <= x <= 16 else _EXP_LAYOUT + 2 * (x > 0) + (abs(x) >= 100) for x in xs]
     keys = np.array(layouts) * 34 + 32
-    masks = np.zeros((_NONFINITE_LAYOUT + 1, 17, 2, 48), np.uint8)
-    for layout, nd, neg in itertools.product(range(_NONFINITE_LAYOUT + 1), range(17), range(2)):
+    masks = np.zeros((_EXP_LAYOUT + 4, 17, 2, 48), np.uint8)
+    for layout, nd, neg in itertools.product(range(_EXP_LAYOUT + 4), range(17), range(2)):
         masks[layout, nd, neg, _mask(layout, nd + 1, neg)] = 255
     return hi, *_split(hi), np.array(lo), quads, trailing, exp_words, keys, masks.reshape(-1, 48).view(_U64LE)
 
@@ -114,37 +133,19 @@ def rows_g17(block) -> bytes:
     x = np.asarray(block, dtype=float)
     rows, cols = x.shape
     x = x.ravel()
-    # digits of the finite nonzero values in range; the rest keep d = 0 at
-    # exponent 0, which spells a zero, or get a layout of their own below
+    # one vector pass over every value, the out of range ones scaled as 1.0
     a = np.abs(x)
-    fast = np.flatnonzero((a >= 1e-280) & (a <= 1e280))
-    a = a[fast]
+    in_range = (a >= 1e-280) & (a <= 1e280)
+    a[~in_range] = 1.0
     e = np.floor(np.log10(a)).astype(np.int64)
     p, t = _scaled(a, 16 - e, tables)
-    # log10 may miss the exponent by one near a power of ten: correct it
-    # from the unrounded p + t, then scale those values again
-    low = (p - 1e16) + t < 0
-    high = (p - 1e17) + t >= 0
-    ok = ~(low | high)
-    if not ok.all():
-        idx = np.flatnonzero(~ok)
-        e[idx] += high[idx].astype(np.int64) - low[idx]
-        p[idx], t[idx] = _scaled(a[idx], 16 - e[idx], tables)
-        ok[idx] = ((p[idx] - 1e16) + t[idx] >= 0) & ((p[idx] - 1e17) + t[idx] < 0)
     r = np.rint(t)
-    ok &= 0.5 - np.abs(t - r) >= _TIE
-    dk = p.astype(np.int64) + r.astype(np.int64)
-    carry = dk == 10**17  # rounded up to the next power of ten
-    dk[carry] = 10**16
-    e += carry
-    fast = fast[ok]
-    d = np.zeros(x.size, np.int64)
-    d[fast] = dk[ok]
-    e_fast, e = e[ok], np.full(x.size, 400)
-    e[fast] += e_fast
-    # Python formats the other finite nonzero values: near a tie, or out of range
-    slow = (x != 0) & np.isfinite(x)
-    slow[fast] = False
+    d = p.astype(np.int64) + r.astype(np.int64)
+    # the route mask; zeros keep the vector route, spelled as d = 0 at exponent 0
+    vec = in_range & ((p - 1e16) + t >= 0) & (d < 10**17) & (0.5 - np.abs(t - r) >= _TIE)
+    vec |= x == 0
+    d[~in_range] = 0
+    e += 400
     # digit groups: d = c0 c1 c2 c3 c4, of 1, 4, 4, 4 and 4 digits
     top = d // 10**8
     c3 = d - top * 10**8
@@ -169,18 +170,11 @@ def rows_g17(block) -> bytes:
     for c in (c3, c2, c1):
         tz += zero * trailing[c]
         zero &= c == 0
-    key = keys[e] - 2 * tz + np.signbit(x)
-    inf, nan = np.isinf(x), np.isnan(x)
-    if inf.any() or nan.any():
-        key[inf | nan] = _NONFINITE_LAYOUT * 34  # "%.17g" drops the sign of a nan
-        key[inf] += np.signbit(x[inf])
-        w[inf, 0] = _INF
-        w[nan, 0] = _NAN
-    w &= np.take(masks, key, axis=0)
-    if slow.any():
-        # one string format for them all, each padded to 24 characters, the
-        # most "%.17g" writes; the padding spaces become NULs
-        idx = np.flatnonzero(slow)
+    w &= np.take(masks, keys[e] - 2 * tz + np.signbit(x), axis=0)
+    if not vec.all():
+        # the Python route: one string format for them all, each padded to
+        # 24 characters, the most "%.17g" writes; the padding spaces become NULs
+        idx = np.flatnonzero(~vec)
         text = ("%-24.17g" * idx.size % tuple(x[idx].tolist())).encode().translate(_SPACE_TO_NUL)
         words = np.zeros((idx.size, 6), _U64LE)
         words[:, :3] = np.frombuffer(text, _U64LE).reshape(-1, 3)

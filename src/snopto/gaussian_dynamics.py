@@ -171,6 +171,31 @@ def evolve_moments(
     )
 
 
+def check_step(osc: OscillatorConfig, t_final: float, dt: float | None, store_every: int) -> float:
+    """The step evolve_moments takes, after checking its arguments.
+
+    dt defaults to a thousandth of the omega_q period and must be at most a
+    hundredth of it; t_final must be positive and store_every at least 1.
+    """
+    wq = osc.omega_q
+    if wq <= 0:
+        raise DomainError("evolution needs omega_q > 0")
+    period = 2 * np.pi / wq
+    if dt is None:
+        dt = period / 1000.0
+    if dt <= 0:
+        raise ConfigError(f"dt must be > 0, got {dt}")
+    if dt > period / 100.0:
+        raise ConfigError(
+            f"dt = {dt:.3e} too coarse: need dt <= {period / 100.0:.3e} (one hundredth of the omega_q period)"
+        )
+    if t_final <= 0:
+        raise ConfigError(f"t_final must be > 0, got {t_final}")
+    if store_every < 1:
+        raise ConfigError("store_every must be >= 1")
+    return dt
+
+
 def _moment_blocks(
     state0: GaussianState,
     osc: OscillatorConfig,
@@ -191,25 +216,9 @@ def _moment_blocks(
     bit. A block holds four chunks (4096 rows at m = 1024), so memory does
     not grow with t_final; a short last block is still computed four chunks
     wide and cut, so every einsum call sees the same operand shapes.
-    Arguments are checked when the first block is drawn.
+    Arguments are checked, by check_step, when the first block is drawn.
     """
-    wq = osc.omega_q
-    if wq <= 0:
-        raise DomainError("evolution needs omega_q > 0")
-    period = 2 * np.pi / wq
-    if dt is None:
-        dt = period / 1000.0
-    if dt <= 0:
-        raise ConfigError(f"dt must be > 0, got {dt}")
-    if dt > period / 100.0:
-        raise ConfigError(
-            f"dt = {dt:.3e} too coarse: need dt <= {period / 100.0:.3e} (one hundredth of the omega_q period)"
-        )
-    if t_final <= 0:
-        raise ConfigError(f"t_final must be > 0, got {t_final}")
-    if store_every < 1:
-        raise ConfigError("store_every must be >= 1")
-
+    dt = check_step(osc, t_final, dt, store_every)
     n_steps = int(np.ceil(t_final / dt))
     n_rec = n_steps // store_every + 1
     a = _drift_matrix(osc)

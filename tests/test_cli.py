@@ -16,7 +16,7 @@ from snopto.cli import _ALL_KEYS, _SPECS, _emit_csv, build_parser, load_config, 
 from snopto.csvtext import rows_g17
 from snopto.errors import ConfigError
 from snopto.feasibility import PRE_DESIGN, ExperimentConfig, pre_report
-from snopto.gaussian_dynamics import GaussianState, evolve_moments
+from snopto.gaussian_dynamics import GaussianState, check_step, evolve_moments
 from snopto.materials import get_material, omega_sn
 from snopto.synth import BasebandModel, gen_baseband, read_series
 
@@ -255,6 +255,33 @@ class TestEmitCsv:
         np.savetxt(tmp_path / "want.csv", data, fmt="%.17g", header=header)
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
+    @staticmethod
+    def route_edge(case, rng):
+        """Values at an edge of rows_g17's route mask, both signs, shuffled."""
+        if case in ("range", "powers"):
+            edges = np.array([1e-280, 1e280] if case == "range" else [float(f"1e{k}") for k in range(-323, 309)])
+            values, up, down = [edges], edges, edges
+            for _ in range(3):  # 1-3 ulps either way
+                up, down = np.nextafter(up, np.inf), np.nextafter(down, 0.0)
+                values += [up, down]
+            values = np.concatenate(values)
+            return rng.permutation(np.concatenate([values, -values]))
+        # ordinary finite values with non-finite ones or signed zeros among them
+        values = rng.standard_normal(7000) * 10.0 ** rng.integers(-30, 30, 7000)
+        spots = rng.choice(values.size, 700, replace=False)
+        odd = [np.inf, -np.inf, np.nan, np.copysign(np.nan, -1.0)] if case == "nonfinite" else [0.0, -0.0]
+        values[spots] = rng.choice(odd, spots.size)
+        return values
+
+    @pytest.mark.parametrize("case", ["range", "powers", "nonfinite", "zeros"])
+    @pytest.mark.parametrize("cols", [1, 7])
+    def test_route_edges(self, case, cols):
+        # every value takes the vector route or Python's; at the edges of
+        # the mask that picks one, both spell "%.17g" byte for byte
+        values = self.route_edge(case, np.random.default_rng(cols))
+        block = values[:values.size - values.size % cols].reshape(-1, cols)
+        assert rows_g17(block) == _percent_rows(block)
+
 
 def _percent_rows(block) -> bytes:
     """The rows as one Python string format writes them: the oracle."""
@@ -376,6 +403,24 @@ class TestDynamics:
     def test_requires_t_final(self, capsys):
         assert main(["dynamics"]) == 2
         assert "t-final" in capsys.readouterr().err
+
+    # times are k * (dt * store_every): dividing a time difference by
+    # store_every would stamp 0.10000000000000002, and a run that records
+    # one row has no time difference at all
+    @pytest.mark.parametrize("flags,dt", [(["--t-final", "10", "--dt", "0.1"], 0.1), (["--t-final", "0.01"], None)])
+    def test_header_stamps_the_step_taken(self, tmp_path, flags, dt):
+        assert main(["dynamics", *flags, "--store-every", "3", "--outdir", str(tmp_path)]) == 0
+        dt = check_step(ExperimentConfig.build(**PRE_DESIGN).osc, 1.0, dt, 3)
+        assert f"# dt = {dt!r}\n" in (tmp_path / "dynamics_W_seed0.csv").read_text()
+
+    # the default W pendulum's omega_q period is about 17 s, so dt = 1 s is
+    # coarser than a hundredth of it
+    @pytest.mark.parametrize("flags,message", [(["--store-every", "0"], "store_every must be >= 1"),
+                                               (["--dt", "1"], "too coarse")])
+    def test_refused_step_writes_nothing(self, tmp_path, capsys, flags, message):
+        assert main(["dynamics", "--t-final", "10", *flags, "--outdir", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_csv_reads_back_the_records(self, tmp_path):
         # %.17g round-trips every double, so the file holds the records bit for bit
