@@ -205,7 +205,7 @@ def _y_batch(
     lo: int,
     hi: int,
 ) -> np.ndarray:
-    """Y at every record length in ns (strictly ascending) for trials lo..hi-1.
+    """Y at every record length in ns (ascending) for trials lo..hi-1.
 
     Returns a (len(ns), hi - lo) block from one pass over time. Trial i
     takes max(ns) standard normals from its column of the seed-contract
@@ -226,9 +226,7 @@ def _y_batch(
     two or more C-contiguous columns it adds the rows in order, column by
     column, the order of a row-by-row sum. Over a single column it would
     sum pairwise, so a one-trial chunk reduces its column beside a column
-    of zeros. Recorded rows cut the tile into segments, each reduced once
-    with the sum so far added into its first row, so each row enters the
-    sum once and a recorded row reads the sum up to it. When
+    of zeros. A recorded row reads the same reduce cut at that row. When
     the truth is the alt law the whitened vector is the draw itself, so
     only colouring runs; a flat truth is white noise, z / sqrt(dt) as
     synth draws it, so only whitening runs. Besides the result, only the
@@ -268,18 +266,14 @@ def _y_batch(
             x *= x
             x *= dt
             u -= x
-            # the sum so far enters the first row not yet in it, and each
-            # segment up to a recorded row, then the rest, is reduced once
-            i = 0  # the tile's rows before i are in y
+            # the sum so far enters the tile's first row, and a recorded
+            # row reads the sum up to it
+            us[0] += y
             while j < len(ns) and rows[j] < k + r:
-                us[i] += y
-                np.add.reduce(us[i : rows[j] - k + 1], axis=0, out=y)
+                np.add.reduce(us[: rows[j] - k + 1], axis=0, out=y)
                 out[j, start - lo : stop - lo] = y[:width]
-                i = rows[j] - k + 1
                 j += 1
-            if i < r:
-                us[i] += y
-                np.add.reduce(us[i:r], axis=0, out=y)
+            np.add.reduce(us[:r], axis=0, out=y)
     out += lndet[:, None]
     out *= 0.5
     return out

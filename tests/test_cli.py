@@ -255,33 +255,6 @@ class TestEmitCsv:
         np.savetxt(tmp_path / "want.csv", data, fmt="%.17g", header=header)
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
-    @staticmethod
-    def route_edge(case, rng):
-        """Values at an edge of rows_g17's route mask, both signs, shuffled."""
-        if case in ("range", "powers"):
-            edges = np.array([1e-280, 1e280] if case == "range" else [float(f"1e{k}") for k in range(-323, 309)])
-            values, up, down = [edges], edges, edges
-            for _ in range(3):  # 1-3 ulps either way
-                up, down = np.nextafter(up, np.inf), np.nextafter(down, 0.0)
-                values += [up, down]
-            values = np.concatenate(values)
-            return rng.permutation(np.concatenate([values, -values]))
-        # ordinary finite values with non-finite ones or signed zeros among them
-        values = rng.standard_normal(7000) * 10.0 ** rng.integers(-30, 30, 7000)
-        spots = rng.choice(values.size, 700, replace=False)
-        odd = [np.inf, -np.inf, np.nan, np.copysign(np.nan, -1.0)] if case == "nonfinite" else [0.0, -0.0]
-        values[spots] = rng.choice(odd, spots.size)
-        return values
-
-    @pytest.mark.parametrize("case", ["range", "powers", "nonfinite", "zeros"])
-    @pytest.mark.parametrize("cols", [1, 7])
-    def test_route_edges(self, case, cols):
-        # every value takes the vector route or Python's; at the edges of
-        # the mask that picks one, both spell "%.17g" byte for byte
-        values = self.route_edge(case, np.random.default_rng(cols))
-        block = values[:values.size - values.size % cols].reshape(-1, cols)
-        assert rows_g17(block) == _percent_rows(block)
-
 
 def _percent_rows(block) -> bytes:
     """The rows as one Python string format writes them: the oracle."""
@@ -315,9 +288,15 @@ class TestG17Rows:
         self.check(specials.view(np.float64), 1)
 
     def test_powers_of_ten_and_neighbours(self):
-        # the exponent estimate and the carry to the next power of ten
+        # the exponent estimate, the round up to the next power of ten, and
+        # the edges 1e-280 and 1e280 of the vector route, each with 1-3 ulps
+        # either way
         p = np.array([float(f"1e{k}") for k in range(-323, 309)])
-        values = np.concatenate([p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)])
+        values, up, down = [p], p, p
+        for _ in range(3):
+            up, down = np.nextafter(up, np.inf), np.nextafter(down, 0.0)
+            values += [up, down]
+        values = np.concatenate(values)
         self.check(np.concatenate([values, -values]), 1)
         self.check(np.concatenate([values, -values])[:-1], 3)
 
