@@ -105,37 +105,9 @@ def _energy(mean_x, mean_p, var_xx, var_pp, osc: OscillatorConfig, sn_weight: fl
     return p2 / (2 * m) + 0.5 * m * osc.omega_cm**2 * x2 + sn_weight * m * osc.omega_sn**2 * var_xx
 
 
-def _drift_matrix(osc: OscillatorConfig) -> np.ndarray:
-    m = osc.mass
-    wcm2 = osc.omega_cm**2
-    wq2 = osc.omega_q**2
-    a = np.zeros((5, 5))
-    a[0, 1] = 1.0 / m
-    a[1, 0] = -m * wcm2
-    a[2, 3] = 2.0 / m
-    a[3, 2] = -m * wq2
-    a[3, 4] = 1.0 / m
-    a[4, 3] = -2.0 * m * wq2
-    return a
-
-
-def _rk4_step_matrix(a: np.ndarray, dt: float) -> np.ndarray:
-    """One fixed step of the classical 4th-order scheme for dz/dt = A z.
-
-    For a linear system the scheme collapses to the degree-4 Taylor
-    polynomial of the exponential, so the whole step is a constant matrix.
-    """
-    s = np.eye(a.shape[0])
-    term = np.eye(a.shape[0])
-    for k in range(1, 5):
-        term = term @ a * (dt / k)
-        s = s + term
-    return s
-
-
-# records per chunk of evolve_moments: one 5x5 power per record in a chunk,
-# one sequential anchor product per chunk
-_CHUNK_RECORDS = 1024
+# rows per block of _moment_blocks: the in-block angle tables hold this many
+# entries, and memory does not grow with t_final
+_BLOCK_ROWS = 4096
 
 
 def evolve_moments(
@@ -146,13 +118,15 @@ def evolve_moments(
     sn_weight: float = 0.5,
     store_every: int = 1,
 ) -> MomentTrajectory:
-    """Propagate moments to t_final with fixed step dt.
+    """The exact moment flow, recorded at t = k dt store_every up to t_final.
 
-    dt defaults to a thousandth of the omega_q period and must resolve it to
-    at least one hundredth (resolution guard). store_every > 1 keeps every
-    k-th sample: the discrete flow is identical, applied in blocks of
-    B = S^store_every, only the recording thins out. The energy column uses
-    the given sn_weight so the conservation control can be run side by side.
+    There is no integration step: every record is the closed-form flow at
+    its time (see _moment_blocks). dt sets the record grid and store_every
+    keeps every store_every-th point of it, k up to ceil(t_final / dt) //
+    store_every. dt defaults to a thousandth of the omega_q period and is
+    refused above a hundredth of it, so the records resolve the ellipse's
+    turn. The energy column uses the given sn_weight so the conservation
+    control can be run side by side.
 
     The records are the blocks of _moment_blocks joined end to end.
     """
@@ -172,7 +146,7 @@ def evolve_moments(
 
 
 def check_step(osc: OscillatorConfig, t_final: float, dt: float | None, store_every: int) -> float:
-    """The step evolve_moments takes, after checking its arguments.
+    """The record spacing dt evolve_moments uses, after checking its arguments.
 
     dt defaults to a thousandth of the omega_q period and must be at most a
     hundredth of it; t_final must be positive and store_every at least 1.
@@ -207,42 +181,61 @@ def _moment_blocks(
     """Yield the records of evolve_moments as (t, moments, energy) blocks.
 
     moments is (rows, 5) in the order mean_x, mean_p, var_xx, cov_xp,
-    var_pp. Records are filled in chunks of m = min(n_rec, 1024) without a
-    loop over steps: the powers P_j = B^j (j < m) are built once, each from
-    the previous one, the chunk anchors follow a_{k+1} = (B P_{m-1}) a_k,
-    and record k m + j is P_j a_k. This is the same discrete flow as
-    applying B once per record, but the roundings fall in another order, so
-    the records agree with one-step application to rounding, not bit for
-    bit. A block holds four chunks (4096 rows at m = 1024), so memory does
-    not grow with t_final; a short last block is still computed four chunks
-    wide and cut, so every einsum call sees the same operand shapes.
-    Arguments are checked, by check_step, when the first block is drawn.
+    var_pp: the exact flow at t = i h, h = dt store_every. The means turn
+    at w = omega_cm,
+
+        x = x0 cos(w t) + p0 / (M w) sin(w t),   p = p0 cos(w t) - M w x0 sin(w t),
+
+    or coast, x = x0 + p0 t / M, at omega_cm = 0. With u = p / (M omega_q)
+    the covariance is R(omega_q t) V0 R(omega_q t)^T, which in the double
+    angle phi = 2 omega_q t reads
+
+        Vxx = a + b cos(phi) + c sin(phi),   Vuu = a - b cos(phi) - c sin(phi),
+        Cxu = c cos(phi) - b sin(phi),
+
+    with a = (Vxx0 + Vuu0) / 2, b = (Vxx0 - Vuu0) / 2 and c = Cxu0. Blocks
+    hold 4096 rows, so memory does not grow with t_final. The cos and sin of
+    a row's angle come by angle addition from one table of in-block offsets
+    j h (j < 4096) and the cos and sin at the block's start, at half the
+    cost of a cos and a sin per row. Adding 0.0 writes a zero moment as 0,
+    never -0. Arguments are checked, by check_step, when the first block is
+    drawn.
     """
     dt = check_step(osc, t_final, dt, store_every)
-    n_steps = int(np.ceil(t_final / dt))
-    n_rec = n_steps // store_every + 1
-    a = _drift_matrix(osc)
-    s1 = _rk4_step_matrix(a, dt)
-    block = np.linalg.matrix_power(s1, store_every)
+    h = dt * store_every
+    n_rec = int(np.ceil(t_final / dt)) // store_every + 1
+    m, w, w2 = osc.mass, osc.omega_cm, 2 * osc.omega_q
+    scale = m * osc.omega_q
+    x0, p0 = state0.mean_x, state0.mean_p
+    vuu = state0.var_pp / scale**2
+    a, b, c = (state0.var_xx + vuu) / 2, (state0.var_xx - vuu) / 2, state0.cov_xp / scale
+    offsets = np.arange(min(n_rec, _BLOCK_ROWS)) * h
+    cos_w, sin_w = np.cos(w * offsets), np.sin(w * offsets)
+    cos_w2, sin_w2 = np.cos(w2 * offsets), np.sin(w2 * offsets)
+    for start in range(0, n_rec, _BLOCK_ROWS):
+        t = np.arange(start, min(start + _BLOCK_ROWS, n_rec)) * h
+        k = t.size
+        rows = np.empty((k, 5))
+        if w > 0:
+            cos_t, sin_t = _turned(w * t[0], cos_w[:k], sin_w[:k])
+            rows[:, 0] = x0 * cos_t + p0 / (m * w) * sin_t
+            rows[:, 1] = p0 * cos_t - m * w * x0 * sin_t
+        else:
+            rows[:, 0] = x0 + p0 / m * t
+            rows[:, 1] = p0
+        cos_t, sin_t = _turned(w2 * t[0], cos_w2[:k], sin_w2[:k])
+        swing = b * cos_t + c * sin_t
+        rows[:, 2] = a + swing
+        rows[:, 3] = scale * (c * cos_t - b * sin_t)
+        rows[:, 4] = scale**2 * (a - swing)
+        rows += 0.0
+        yield t, rows, _energy(rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 4], osc, sn_weight)
 
-    m = min(n_rec, _CHUNK_RECORDS)
-    powers = np.empty((m, 5, 5))
-    powers[0] = np.eye(5)
-    for j in range(1, m):
-        powers[j] = block @ powers[j - 1]
-    jump = block @ powers[-1]
-    anchors = np.empty((min(4, -(-n_rec // m)), 5))
-    anchor = np.array([state0.mean_x, state0.mean_p, state0.var_xx, state0.cov_xp, state0.var_pp])
-    rows = len(anchors) * m
-    for start in range(0, n_rec, rows):
-        anchors[0] = anchor
-        for k in range(1, len(anchors)):
-            anchors[k] = jump @ anchors[k - 1]
-        anchor = jump @ anchors[-1]
-        stop = min(start + rows, n_rec)
-        out = np.einsum("jab,kb->kja", powers, anchors).reshape(-1, 5)[: stop - start]
-        times = np.arange(start, stop) * (dt * store_every)
-        yield times, out, _energy(out[:, 0], out[:, 1], out[:, 2], out[:, 4], osc, sn_weight)
+
+def _turned(angle: float, cos_offset: np.ndarray, sin_offset: np.ndarray):
+    """cos and sin of angle + offset, by angle addition."""
+    cos_a, sin_a = np.cos(angle), np.sin(angle)
+    return cos_a * cos_offset - sin_a * sin_offset, sin_a * cos_offset + cos_a * sin_offset
 
 
 def ellipse_angle(traj: MomentTrajectory, osc: OscillatorConfig) -> np.ndarray:

@@ -346,13 +346,12 @@ class TestDynamics:
         assert np.max(np.abs(energy / energy[0] - 1.0)) < 1e-9
 
     # sha256 of the emitted CSV, header included, per (store_every,
-    # t_final) at the default dt: 4637 rows (five chunks of records, more
-    # than one block of CSV rows), 5796 rows (six chunks) and 663 rows (one
-    # chunk); no row count is a multiple of 1024
+    # t_final) at the default dt: 4637 and 5796 rows (two blocks of 4096
+    # rows, the second short) and 663 rows (one short block)
     FROZEN_CSV = {
-        (1, "80"): "46f45895d8995d3a292b81836d0da589b931042ad5cd045d5fc303973b66f8bd",
-        (3, "300"): "9e6d91deeafcd31c14ed7123ca4a5cb317b0decb67cb5179f920906443b2cb51",
-        (7, "80"): "b588cc4484797c4afa9d3a9a67a34dc3aa9d044c8462ccfa45ec7c8b1d071c9a",
+        (1, "80"): "da9214c0a9d8cc739c9cbcaf5bde14084fc925e6e310ffac195f15923039665d",
+        (3, "300"): "9970a60b24e86730994711d52f57e738fdd7d9a30d9bfd3d8eb719c4b51581d3",
+        (7, "80"): "3ed67d4e6a26567651002af421d7d12959a5380d363278947071dd3855a85e7f",
     }
 
     @pytest.mark.parametrize("store_every,t_final", list(FROZEN_CSV))
@@ -402,15 +401,27 @@ class TestDynamics:
         assert not list(tmp_path.iterdir())
 
     def test_csv_reads_back_the_records(self, tmp_path):
-        # %.17g round-trips every double, so the file holds the records bit for bit
-        assert main(["dynamics", "--t-final", "80", "--store-every", "3", "--squeeze", "0.3",
-                     "--x0", "2e-16", "--p0", "1e-18", "--outdir", str(tmp_path)]) == 0
+        # %.17g round-trips every double, so the file holds the records bit
+        # for bit; 300 s at every step is 17 386 rows, in five 4096-row blocks
         exp = ExperimentConfig.build(**PRE_DESIGN)
-        state = GaussianState.ground(exp.osc).squeezed(0.3).displaced(2e-16, 1e-18)
-        traj = evolve_moments(state, exp.osc, 80.0, None, 0.5, 3)
-        records = np.column_stack([traj.times, traj.mean_x, traj.mean_p, traj.var_xx,
-                                   traj.cov_xp, traj.var_pp, traj.energy])
-        assert np.array_equal(np.loadtxt(tmp_path / "dynamics_W_seed0.csv"), records)
+        for t_final, store_every in ((80.0, 3), (300.0, 1)):
+            out = tmp_path / f"{t_final}-{store_every}"
+            assert main(["dynamics", "--t-final", repr(t_final), "--store-every", str(store_every),
+                         "--squeeze", "0.3", "--x0", "2e-16", "--p0", "1e-18", "--outdir", str(out)]) == 0
+            state = GaussianState.ground(exp.osc).squeezed(0.3).displaced(2e-16, 1e-18)
+            traj = evolve_moments(state, exp.osc, t_final, None, 0.5, store_every)
+            records = np.column_stack([traj.times, traj.mean_x, traj.mean_p, traj.var_xx,
+                                       traj.cov_xp, traj.var_pp, traj.energy])
+            assert np.array_equal(np.loadtxt(out / "dynamics_W_seed0.csv"), records)
+
+    def test_zero_means_print_as_zero(self, tmp_path):
+        # the default state sits at the origin; 0 * cos + 0 * sin is -0
+        # wherever both are negative, which must not reach the file as -0
+        assert main(["dynamics", "--t-final", "200", "--outdir", str(tmp_path)]) == 0
+        rows = [line.split() for line in (tmp_path / "dynamics_W_seed0.csv").read_text().splitlines()
+                if not line.startswith("#")]
+        assert len(rows) == 11591
+        assert {row[1] for row in rows} == {row[2] for row in rows} == {"0"}
 
 
 class TestSynth:

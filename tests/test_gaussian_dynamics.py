@@ -16,8 +16,6 @@ from snopto.gaussian_dynamics import (
     evolve_moments,
     fft_peak_frequency,
     mean_frequency,
-    _drift_matrix,
-    _rk4_step_matrix,
 )
 from snopto.response import OscillatorConfig
 
@@ -29,17 +27,17 @@ TRAP_ONLY = OscillatorConfig(mass=0.2, omega_cm=0.0, omega_sn=0.3592, gamma_m=0.
 BARE = OscillatorConfig(mass=0.2, omega_cm=0.05, omega_sn=0.0, gamma_m=0.0)
 
 
-def _step_loop(state0, osc, t_final, dt, store_every):
-    """Reference propagation: the step block applied once per record."""
-    n_rec = int(np.ceil(t_final / dt)) // store_every + 1
-    block = np.linalg.matrix_power(_rk4_step_matrix(_drift_matrix(osc), dt), store_every)
-    z = np.array([state0.mean_x, state0.mean_p, state0.var_xx, state0.cov_xp, state0.var_pp])
-    out = np.empty((n_rec, 5))
-    out[0] = z
-    for i in range(1, n_rec):
-        z = block @ z
-        out[i] = z
-    return np.arange(n_rec) * (dt * store_every), out
+def _drift_matrix(osc):
+    """A of dz/dt = A z for z = (mean_x, mean_p, var_xx, cov_xp, var_pp)."""
+    m = osc.mass
+    a = np.zeros((5, 5))
+    a[0, 1] = 1.0 / m
+    a[1, 0] = -m * osc.omega_cm**2
+    a[2, 3] = 2.0 / m
+    a[3, 2] = -m * osc.omega_q**2
+    a[3, 4] = 1.0 / m
+    a[4, 3] = -2.0 * m * osc.omega_q**2
+    return a
 
 
 class TestState:
@@ -91,16 +89,53 @@ class TestEnergy:
         assert energy(double, TRAP_ONLY) == pytest.approx(4 * energy(base, TRAP_ONLY), rel=1e-12)
 
 
-class TestStepMatrix:
-    def test_step_matrix_matches_exponential(self):
-        a = _drift_matrix(GENERIC)
-        dt = 2 * np.pi / GENERIC.omega_q / 1000.0
-        s = _rk4_step_matrix(a, dt)
-        exact = expm(a * dt)
-        # the scheme is the degree-4 Taylor polynomial; the elementwise
-        # defect is O((w dt)^5) up to the mixed row scalings of the blocks
-        scale = np.abs(exact).max()
-        assert np.abs(s - exact).max() < 5e-10 * scale
+class TestExactFlow:
+    # evolve_moments against expm(A t) z0 at about 200 record times, the
+    # first and the last among them, and across the first block edges.
+    # Each column may be off by ERR (1 + omega_q t) eps of its scale (its
+    # largest magnitude at those times): rounding the angle omega_q t costs
+    # about omega_q t eps, and expm's scaling and squaring as much again.
+    # Measured at up to 18 on these cases; the former RK4 records missed
+    # by factors of 1e5 (2 h, default spacing) to 1e10 (1e5 s, coarsest).
+    ERR = 64
+
+    @pytest.mark.parametrize("osc,t_final,per_period,store_every,sn_weight", [
+        pytest.param(GENERIC, 1e5, 100, 7, 0.5, id="generic-1e5s-coarsest-every7"),
+        pytest.param(GENERIC, 1e5, 100, 1, 1.0, id="generic-1e5s-coarsest-every1-naive"),
+        pytest.param(GENERIC, 7200.0, 1000, 7, 1.0, id="generic-2h-default-every7-naive"),
+        pytest.param(GENERIC, 7200.0, 1000, 1, 0.5, id="generic-2h-default-every1"),
+        pytest.param(BARE, 1e5, 1000, 7, 0.5, id="bare-1e5s-default-every7"),
+        pytest.param(BARE, 7200.0, 100, 1, 1.0, id="bare-2h-coarsest-every1-naive"),
+        pytest.param(TRAP_ONLY, 1e5, 100, 1, 0.5, id="trap-1e5s-coarsest-every1"),
+        pytest.param(TRAP_ONLY, 7200.0, 1000, 7, 1.0, id="trap-2h-default-every7-naive"),
+        # one record (fewer grid points than store_every) and two
+        pytest.param(GENERIC, 0.05, 1000, 7, 0.5, id="generic-one-record-every7"),
+        pytest.param(GENERIC, 0.2, 1000, 7, 1.0, id="generic-two-records-every7"),
+    ])
+    def test_records_match_expm(self, osc, t_final, per_period, store_every, sn_weight):
+        dt = 2 * np.pi / osc.omega_q / per_period
+        g = GaussianState.ground(osc)
+        # squeezed, tilted (cov_xp != 0) and displaced
+        s0 = GaussianState(2e-16, 1e-18, 3 * g.var_xx, g.var_xx * osc.mass * osc.omega_q, 1.5 * g.var_pp)
+        traj = evolve_moments(s0, osc, t_final, dt=dt, sn_weight=sn_weight, store_every=store_every)
+        n = int(np.ceil(t_final / dt)) // store_every + 1
+        np.testing.assert_array_equal(traj.times, np.arange(n) * (dt * store_every))
+
+        edges = np.array([4095, 4096, 8191, 8192])
+        rows = np.union1d(np.linspace(0, n - 1, 200).round().astype(int), edges[edges < n])
+        t = traj.times[rows]
+        a = _drift_matrix(osc)
+        z0 = np.array([s0.mean_x, s0.mean_p, s0.var_xx, s0.cov_xp, s0.var_pp])
+        ref = np.array([expm(a * ti) @ z0 for ti in t])
+        x, p, vxx, vpp = ref[:, 0], ref[:, 1], ref[:, 2], ref[:, 4]
+        m = osc.mass
+        ref_energy = (vpp + p**2) / (2 * m) + 0.5 * m * osc.omega_cm**2 * (vxx + x**2) \
+            + sn_weight * m * osc.omega_sn**2 * vxx
+        ref = np.column_stack([ref, ref_energy])
+        got = np.column_stack([traj.mean_x, traj.mean_p, traj.var_xx, traj.cov_xp, traj.var_pp, traj.energy])[rows]
+
+        bound = self.ERR * np.finfo(float).eps * (1 + osc.omega_q * t)[:, None] * np.abs(ref).max(axis=0)
+        assert np.all(np.abs(got - ref) <= bound)
 
 
 class TestConservation:
@@ -239,32 +274,13 @@ class TestIntegratorGuards:
         assert np.allclose(thin.mean_x, dense.mean_x[::10][:n], rtol=0, atol=1e-8 * scale)
         assert np.allclose(thin.var_xx, dense.var_xx[::10][:n], rtol=1e-8)
 
-    @pytest.mark.parametrize("store_every,n_rec", [
-        (store_every, n_rec)
-        for store_every in (1, 7)
-        for n_rec in (1, 2, 1023, 1024, 1025, 3 * 1024 + 5)
-        if n_rec > 1 or store_every > 1  # one record needs fewer steps than store_every
-    ])
-    def test_chunked_powers_match_step_loop(self, store_every, n_rec):
-        period = 2 * np.pi / GENERIC.omega_q
-        dt = period / 1000
-        s0 = GaussianState.ground(GENERIC).squeezed(0.4).displaced(dx=2e-16, dp=1e-18)
-        # ceil(t_final / dt) = n_rec * store_every - 1 steps give n_rec records
-        t_final = (n_rec * store_every - 1.5) * dt
-        traj = evolve_moments(s0, GENERIC, t_final, dt=dt, store_every=store_every)
-        times, ref = _step_loop(s0, GENERIC, t_final, dt, store_every)
-        assert traj.times.size == n_rec
-        np.testing.assert_array_equal(traj.times, times)
-        got = np.column_stack([traj.mean_x, traj.mean_p, traj.var_xx, traj.cov_xp, traj.var_pp])
-        atol = 8 * n_rec * np.finfo(np.float64).eps * np.abs(ref).max(axis=0)
-        assert np.all(np.abs(got - ref) <= atol)
-
     # sha256 of every returned array's bytes (times, the five moments,
-    # energy), per (store_every, n_rec): five, six and one chunk of records
+    # energy), per (store_every, n_rec): 4637 and 5796 records span two
+    # 4096-row blocks, 663 fill part of one
     FROZEN = {
-        (1, 4637): "d740135a5c84d46936d710fde90e1c8ce4159db89893afa55b7db34cb378e4ad",
-        (3, 5796): "768ce48354531356ef99a80a4ee47a9c93f5d71dcabf25126cf8f122bfe21992",
-        (7, 663): "c4c3f0b04d6ca936c67d64e737b62b8ccaf7c3db4696fd0736baf4dd1f37abc9",
+        (1, 4637): "147cd8cbaedbd4c55f80a1c0e68a7539038a768e8798cb353fcb3148e340a5cd",
+        (3, 5796): "79217fa1b0eb8820a585c79ccf644887459dd74a77288841e39afc2be4b5a1b6",
+        (7, 663): "f8efa7a5f3e3fcd89d92ebb9693badeb95a0e331981648155b0be22582c19ba0",
     }
 
     @pytest.mark.parametrize("store_every,n_rec", list(FROZEN))
