@@ -20,10 +20,13 @@ Exit codes: 0 success, 1 domain or runtime failure, 2 usage or config
 problems (argparse keeps its native behavior for unknown flags).
 
 Output location: --outdir, else $SNOPTO_OUTDIR, else the working
-directory. Filenames embed the command and seed, so reruns overwrite
-their own outputs and nothing else. On spectrum, dynamics and feasibility
-nothing random runs, and the seed is only that run label. No plotting
-here; curves are emitted as plot-ready CSV.
+directory. Every file is named <command>_<tag>_seed<seed>.json or .csv,
+and the feasibility sweep curve <command>_<tag>_seed<seed>_sweep.csv; the
+tag is the prescription, material, kind or truth of the run. So reruns
+overwrite their own outputs and nothing else. Each path is printed as its
+file is written; a refused run writes and prints nothing. On spectrum,
+dynamics and feasibility nothing random runs, and the seed is only that
+run label. No plotting here; curves are emitted as plot-ready CSV.
 """
 
 import argparse
@@ -42,13 +45,12 @@ from .constants import AMU
 from .detect import HypothesisPair, check_search, fit_prediction, outcome_probs, tau_min
 from .errors import BoundedSearchError, ConfigError, DomainError
 from .feasibility import (
-    POST_DESIGN,
     PRE_DESIGN,
     ExperimentConfig,
     check_sweep,
+    design,
     optimize_beta,
-    post_report,
-    pre_report,
+    report,
 )
 from .gaussian_dynamics import GaussianState, _moment_blocks, check_step
 from .materials import builtin_table, derive, get_material
@@ -58,8 +60,7 @@ from .spectra import (
     beta_limit,
     default_grid,
     evaluate,
-    post_feature,
-    pre_feature,
+    feature,
 )
 from .synth import BasebandModel, gen_baseband
 
@@ -213,14 +214,18 @@ def resolve(args, spec: dict) -> dict:
     return conf
 
 
-def _outdir(args) -> Path:
-    d = args.outdir or os.environ.get("SNOPTO_OUTDIR") or "."
-    p = Path(d)
-    p.mkdir(parents=True, exist_ok=True)
-    return p
+def _output(args, conf: dict, tag: str, suffix: str) -> Path:
+    """<outdir>/<command>_<tag>_seed<seed><suffix>, the one naming rule, with outdir created.
+
+    outdir is --outdir, else $SNOPTO_OUTDIR, else the working directory.
+    """
+    out = Path(args.outdir or os.environ.get("SNOPTO_OUTDIR") or ".")
+    out.mkdir(parents=True, exist_ok=True)
+    return out / f"{args.command}_{tag}_seed{conf['seed']}{suffix}"
 
 
 def _emit_json(path: Path, command: str, conf: dict, result) -> None:
+    """The report of a run, with its resolved config; prints path."""
     payload = {
         "command": command,
         "version": __version__,
@@ -229,13 +234,14 @@ def _emit_json(path: Path, command: str, conf: dict, result) -> None:
         "result": result,
     }
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    print(path)
 
 
 _CSV_BLOCK_VALUES = 4096  # values per numpy formatting pass; bounds the memory held at once
 
 
 def _emit_csv(path: Path, command: str, conf: dict, columns, names=None) -> None:
-    """Header lines of conf, then the rows at %.17g.
+    """Header lines of conf, then the rows at %.17g; prints path.
 
     columns is a dict of name -> column, or an iterable of row blocks, each
     a (rows, len(names)) array, written as it comes so that only one block
@@ -260,6 +266,7 @@ def _emit_csv(path: Path, command: str, conf: dict, columns, names=None) -> None
         for block in columns:
             for part in np.array_split(block, max(1, -(-block.size // _CSV_BLOCK_VALUES))):
                 fh.write(rows_g17(part))
+    print(path)
 
 
 # ---------------------------------------------------------------- options
@@ -420,26 +427,17 @@ def cmd_spectrum(args) -> int:
     else:
         grid = default_grid(params, prescription)
     spectrum = evaluate(prescription, grid, params)
-
-    if prescription == "pre":
-        feature = asdict(pre_feature(params))
-    elif prescription == "post":
-        feature = asdict(post_feature(params))
-    else:
-        feature = None
-    out = _outdir(args)
-    stem = f"spectrum_{prescription}_seed{conf['seed']}"
-    _emit_csv(out / f"{stem}.csv", "spectrum", conf, {"omega": spectrum.grid, "value": spectrum.values})
-    _emit_json(out / f"{stem}.json", "spectrum", conf, {
+    peak_or_dip = feature(prescription, params)
+    _emit_csv(_output(args, conf, prescription, ".csv"), "spectrum", conf,
+              {"omega": spectrum.grid, "value": spectrum.values})
+    _emit_json(_output(args, conf, prescription, ".json"), "spectrum", conf, {
         "baseline": params.baseline,
         "beta": params.beta,
         "gamma_sq": params.gamma_sq,
         "omega_q": params.omega_q,
         "well_resolved": params.well_resolved,
-        "feature": feature,
+        "feature": asdict(peak_or_dip) if peak_or_dip else None,
     })
-    print(out / f"{stem}.csv")
-    print(out / f"{stem}.json")
     return 0
 
 
@@ -452,11 +450,9 @@ def cmd_dynamics(args) -> int:
     state = GaussianState.ground(exp.osc).squeezed(conf["squeeze"]).displaced(conf["x0"], conf["p0"])
     conf["dt"] = check_step(exp.osc, conf["t_final"], conf["dt"], conf["store_every"])
     blocks = _moment_blocks(state, exp.osc, conf["t_final"], conf["dt"], conf["sn_weight"], conf["store_every"])
-    out = _outdir(args)
-    stem = f"dynamics_{conf['material']}_seed{conf['seed']}"
-    _emit_csv(out / f"{stem}.csv", "dynamics", conf, (np.column_stack(block) for block in blocks),
+    _emit_csv(_output(args, conf, conf["material"], ".csv"), "dynamics", conf,
+              (np.column_stack(block) for block in blocks),
               names=["t", "mean_x", "mean_p", "var_xx", "cov_xp", "var_pp", "energy"])
-    print(out / f"{stem}.csv")
     return 0
 
 
@@ -476,11 +472,8 @@ def cmd_synth(args) -> int:
     conf = resolve(args, _SPECS["synth"])
     model = _alt_model(conf)
     series = gen_baseband(model, conf["duration"], conf["dt"], conf["seed"])
-    out = _outdir(args)
-    path = out / f"synth_{conf['kind']}_seed{conf['seed']}.csv"
     header_conf = {"dt": series.dt, "n": series.n, "seed": series.seed, "model": series.model_tag, **{k: v for k, v in conf.items() if k not in ("dt", "seed")}}
-    _emit_csv(path, "synth", header_conf, {"sample": series.samples})
-    print(path)
+    _emit_csv(_output(args, conf, conf["kind"], ".csv"), "synth", header_conf, {"sample": series.samples})
     return 0
 
 
@@ -498,10 +491,7 @@ def cmd_detect(args) -> int:
         truth, pair, conf["duration"], conf["dt"], conf["yth"],
         conf["n"], conf["seed"], jobs=conf["jobs"],
     )
-    out = _outdir(args)
-    path = out / f"detect_{conf['truth']}_seed{conf['seed']}.json"
-    _emit_json(path, "detect", conf, asdict(report))
-    print(path)
+    _emit_json(_output(args, conf, conf["truth"], ".json"), "detect", conf, asdict(report))
     return 0
 
 
@@ -520,10 +510,7 @@ def cmd_taumin(args) -> int:
     else:
         pair = HypothesisPair(BasebandModel("flat"), _alt_model(conf))
         result = {**tau_min(pair, *settings).as_dict(), "fit": fit_block}
-    out = _outdir(args)
-    path = out / f"taumin_{conf['kind']}_seed{conf['seed']}.json"
-    _emit_json(path, "taumin", conf, result)
-    print(path)
+    _emit_json(_output(args, conf, conf["kind"], ".json"), "taumin", conf, result)
     return 0
 
 
@@ -533,25 +520,19 @@ def cmd_feasibility(args) -> int:
     """planning report from the anchored laws"""
     conf = resolve(args, _SPECS["feasibility"])
     prescription = conf["prescription"]
-    if prescription not in ("pre", "post"):
-        raise ConfigError(f"prescription must be pre or post, got {prescription!r}")
+    defaults = design(prescription)
     # the report records p and n_grid with or without the sweep that reads them
     check_sweep(conf["p"], conf["n_grid"])
-    design = PRE_DESIGN if prescription == "pre" else POST_DESIGN
-    conf.update((k, v) for k, v in design.items() if conf[k] is None)
+    conf.update((k, v) for k, v in defaults.items() if conf[k] is None)
     exp = _experiment(conf)
-    report = (pre_report if prescription == "pre" else post_report)(exp, beta=conf["beta"])
-    conf["beta"] = report.beta_used
-    result = asdict(report)
-    out = _outdir(args)
-    stem = f"feasibility_{prescription}_seed{conf['seed']}"
+    result = asdict(report(prescription, exp, beta=conf["beta"]))
+    conf["beta"] = result["beta_used"]
     if conf["sweep"]:
         sweep = optimize_beta(gamma_squared(exp.osc), exp.osc.gamma_m, p=conf["p"], n_grid=conf["n_grid"])
         result["sweep"] = {k: v for k, v in sweep._asdict().items() if k not in ("betas", "taus")}
-        _emit_csv(out / f"{stem}_sweep.csv", "feasibility", conf, {"beta": sweep.betas, "tau_min": sweep.taus})
-        print(out / f"{stem}_sweep.csv")
-    _emit_json(out / f"{stem}.json", "feasibility", conf, result)
-    print(out / f"{stem}.json")
+        _emit_csv(_output(args, conf, prescription, "_sweep.csv"), "feasibility", conf,
+                  {"beta": sweep.betas, "tau_min": sweep.taus})
+    _emit_json(_output(args, conf, prescription, ".json"), "feasibility", conf, result)
     return 0
 
 

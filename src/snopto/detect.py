@@ -473,6 +473,13 @@ def _erfcinv(y: float) -> float:
     return -NormalDist().inv_cdf(y / 2.0) / math.sqrt(2.0)
 
 
+# The confidence law of the printed fits, (a - b erfcinv(p/100))^2. It falls
+# to 0 at p* = 100 erfc(a/b), about 57.3 %, and rises again above it, where
+# a looser target would read as a longer measurement.
+_CONFIDENCE_LAW = (2.94, 7.38)
+_P_TURN = 100.0 * math.erfc(_CONFIDENCE_LAW[0] / _CONFIDENCE_LAW[1])
+
+
 def fit_prediction(kind: str, amplitude: float, gamma: float, p: float = 10.0) -> FitPrediction:
     """Measurement-time estimate from the printed Monte Carlo fits.
 
@@ -482,7 +489,8 @@ def fit_prediction(kind: str, amplitude: float, gamma: float, p: float = 10.0) -
     (two-quadrature) convention at p = 10; the unhalved twin is twice
     that, matching the single-record search this module performs. Other
     confidence levels scale by the (2.94 - 7.38 erfcinv(p/100))^2 law
-    normalized to unity at p = 10.
+    normalized to unity at p = 10; from its zero at p* = 100 erfc(2.94/7.38)
+    on, the estimate carries a warning.
     """
     if gamma <= 0:
         raise DomainError(f"gamma must be > 0, got {gamma}")
@@ -503,9 +511,12 @@ def fit_prediction(kind: str, amplitude: float, gamma: float, p: float = 10.0) -
         ct_halved = 18.3 / amplitude**2 - 10.7 / amplitude
     else:
         raise ConfigError(f"kind must be peak or dip, got {kind!r}")
+    if p >= _P_TURN:
+        warnings.append(f"confidence law reaches 0 at p = {_P_TURN:.1f}% and turns back up above it")
+    a, b = _CONFIDENCE_LAW
 
     def conf(pp: float) -> float:
-        return (2.94 - 7.38 * _erfcinv(pp / 100.0)) ** 2
+        return (a - b * _erfcinv(pp / 100.0)) ** 2
 
     ct_halved *= conf(p) / conf(10.0)
     coherence = 2.0 / gamma

@@ -63,6 +63,7 @@ POST_DESIGN = {
     "q": 1.0e7,
     "t0": 1.0,
 }
+DESIGNS = {"pre": PRE_DESIGN, "post": POST_DESIGN}
 
 # The points the laws are anchored at: the reference designs with the
 # rounded atomic mass (amu) and trap frequencies the laws were quoted with,
@@ -154,8 +155,7 @@ class FeasibilityReport:
     validity_flags: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.prescription not in ("pre", "post"):
-            raise ConfigError(f"prescription must be pre or post, got {self.prescription!r}")
+        design(self.prescription)  # refuses any other prescription
         for name in ("tau_min_scaled", "input_power", "peak_height_or_dip", "coherence_time"):
             if getattr(self, name) <= 0:
                 raise DomainError(f"{name} must be > 0")
@@ -339,3 +339,20 @@ def post_report(config: ExperimentConfig, beta: float = None) -> FeasibilityRepo
         coherence_time=1.0 / feat.fwhm,
         validity_flags=flags,
     )
+
+
+def design(prescription: str) -> dict:
+    """The reference design of a prescription; ConfigError for any but pre and post."""
+    if prescription not in DESIGNS:
+        raise ConfigError(f"prescription must be {' or '.join(DESIGNS)}, got {prescription!r}")
+    return DESIGNS[prescription]
+
+
+def report(prescription: str, config: ExperimentConfig, beta: float = None) -> FeasibilityReport:
+    """pre_report or post_report, by prescription name.
+
+    The table is built per call, from names looked up then, so a report
+    function rebound in this module is the one that runs.
+    """
+    design(prescription)
+    return {"pre": pre_report, "post": post_report}[prescription](config, beta=beta)

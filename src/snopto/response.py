@@ -91,18 +91,20 @@ def alpha_squared(opt: OpticalConfig) -> float:
     return (8.0 * opt.i_in / opt.transmissivity) * (HBAR * opt.omega_c / C_LIGHT**2) / opt.transmissivity
 
 
-def g_c(omega, osc: OscillatorConfig):
-    """Classical position response 1 / (M (omega_cm^2 - omega^2 - i omega gamma_m))."""
+def _response(omega, center: float, osc: OscillatorConfig):
+    """Position response 1 / (M (center^2 - omega^2 - i omega gamma_m))."""
     omega = np.asarray(omega, dtype=float)
-    den = osc.mass * (osc.omega_cm**2 - omega**2 - 1j * omega * osc.gamma_m)
-    return 1.0 / den
+    return 1.0 / (osc.mass * (center**2 - omega**2 - 1j * omega * osc.gamma_m))
+
+
+def g_c(omega, osc: OscillatorConfig):
+    """Classical position response, centered at omega_cm."""
+    return _response(omega, osc.omega_cm, osc)
 
 
 def g_q(omega, osc: OscillatorConfig):
     """Quantum position response, identical in form to g_c but centered at omega_q."""
-    omega = np.asarray(omega, dtype=float)
-    den = osc.mass * (osc.omega_q**2 - omega**2 - 1j * omega * osc.gamma_m)
-    return 1.0 / den
+    return _response(omega, osc.omega_q, osc)
 
 
 def delta_g(omega, osc: OscillatorConfig):

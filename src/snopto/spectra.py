@@ -163,11 +163,19 @@ def s_post_total(omega, params: SpectrumParams):
     return filtered + (p.alpha_sq / HBAR**2) * s_x_th(omega, osc)
 
 
-def evaluate(prescription: str, omega, params: SpectrumParams) -> OutputSpectrum:
-    try:
-        fn = {"qm": s_qm, "pre": s_pre_total, "post": s_post_total}[prescription]
-    except KeyError:
+def _pick(prescription: str, **table):
+    """table[prescription], or a ConfigError for a name outside PRESCRIPTIONS.
+
+    Callers build the table per call, from names looked up then, so a
+    function rebound in this module is the one that runs.
+    """
+    if prescription not in table:
         raise ConfigError(f"prescription must be one of {PRESCRIPTIONS}, got {prescription!r}")
+    return table[prescription]
+
+
+def evaluate(prescription: str, omega, params: SpectrumParams) -> OutputSpectrum:
+    fn = _pick(prescription, qm=s_qm, pre=s_pre_total, post=s_post_total)
     omega = np.asarray(omega, dtype=float)
     return OutputSpectrum(
         grid=omega,
@@ -208,6 +216,12 @@ def post_feature(params: SpectrumParams) -> LorentzianFeature:
         baseline=params.baseline,
         valid_narrowband=params.well_resolved,
     )
+
+
+def feature(prescription: str, params: SpectrumParams) -> LorentzianFeature | None:
+    """The closed-form feature of a prescription: the pre peak, the post dip, None for qm."""
+    fn = _pick(prescription, qm=None, pre=pre_feature, post=post_feature)
+    return None if fn is None else fn(params)
 
 
 def delta_x_cm(params: SpectrumParams) -> float:

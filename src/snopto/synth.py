@@ -190,7 +190,7 @@ def target_autocovariance(model: BasebandModel, lag, dt: float | None = None):
         g = model.fwhm_gamma
         cont = model._sign * model.amplitude * (g / 4.0) * np.exp(-g * np.abs(lag) / 2.0)
     if dt is not None:
-        cont = cont + np.where(lag == 0.0, 1.0 / dt, 0.0)
+        cont = np.where(lag == 0.0, cont + 1.0 / dt, cont)
     return cont if cont.ndim else float(cont)
 
 
@@ -204,9 +204,7 @@ def _check_grid(n: int, dt: float):
 def covariance_row(model: BasebandModel, n: int, dt: float) -> np.ndarray:
     """First row of the n x n discrete covariance (Toeplitz) matrix."""
     _check_grid(n, dt)
-    row = np.asarray(target_autocovariance(model, np.arange(n) * dt), dtype=float)
-    row[0] += 1.0 / dt
-    return row
+    return target_autocovariance(model, np.arange(n) * dt, dt)
 
 
 @dataclass(frozen=True)

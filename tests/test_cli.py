@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snopto import __version__, cli
+from snopto import __version__, cli, feasibility, spectra
 from snopto.cli import _ALL_KEYS, _SPECS, _emit_csv, build_parser, load_config, main, parse_quantity
 from snopto.csvtext import rows_g17
 from snopto.errors import ConfigError
@@ -743,6 +743,21 @@ class TestGeneratedParser:
         assert main(argv) == 7
         assert seen == ["14"]
 
+    @pytest.mark.parametrize("module,name,argv", [
+        (spectra, "pre_feature", ["spectrum", "--prescription", "pre"]),
+        (spectra, "post_feature", ["spectrum", "--prescription", "post"]),
+        (feasibility, "pre_report", ["feasibility", "--prescription", "pre"]),
+        (feasibility, "post_report", ["feasibility", "--prescription", "post"]),
+    ])
+    def test_rebound_prescription_function_runs(self, tmp_path, monkeypatch, module, name, argv):
+        # the prescription dispatch looks these names up in their own module
+        # at call time, so a function rebound there (as bench/tracing.py
+        # rebinds them to time them) is the one that runs
+        original, seen = getattr(module, name), []
+        monkeypatch.setattr(module, name, lambda *a, **kw: seen.append(name) or original(*a, **kw))
+        assert main([*argv, "--outdir", str(tmp_path)]) == 0
+        assert seen == [name]
+
     def test_spec_keys_are_known(self):
         for spec in _SPECS.values():
             assert set(spec) <= _ALL_KEYS
@@ -765,6 +780,43 @@ class TestGeneratedParser:
         assert main([*argv, "--outdir", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+        assert not list(tmp_path.iterdir())
+
+
+class TestPrintedPaths:
+    """A run prints exactly the paths it wrote, in the order it wrote them."""
+
+    @pytest.mark.parametrize("argv,names", [
+        (["spectrum"], ["spectrum_pre_seed0.csv", "spectrum_pre_seed0.json"]),
+        (["spectrum", "--prescription", "qm", "--seed", "4"], ["spectrum_qm_seed4.csv", "spectrum_qm_seed4.json"]),
+        (["dynamics", "--t-final", "30", "--store-every", "7"], ["dynamics_W_seed0.csv"]),
+        (["synth", "--kind", "flat", "--duration", "10", "--dt", "0.1", "--seed", "2"], ["synth_flat_seed2.csv"]),
+        (["detect", "--truth", "flat", "--amp", "0.62", "--duration", "14", "--dt", "0.14", "--yth", "1",
+          "--n", "50"], ["detect_flat_seed0.json"]),
+        (["taumin", "--kind", "peak", "--amp", "30", "--fit-only"], ["taumin_peak_seed0.json"]),
+        (["feasibility", "--prescription", "post"], ["feasibility_post_seed0.json"]),
+        (["feasibility", "--prescription", "pre", "--sweep", "--n-grid", "16"],
+         ["feasibility_pre_seed0_sweep.csv", "feasibility_pre_seed0.json"]),
+    ])
+    def test_printed_paths_are_the_files_written(self, tmp_path, capsys, argv, names):
+        assert main([*argv, "--outdir", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == "".join(f"{tmp_path / name}\n" for name in names)
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(names)
+        written = [(tmp_path / name).stat().st_mtime_ns for name in names]
+        assert written == sorted(written)
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--prescription", "foo"],
+        ["spectrum", "--wmin", "1"],
+        ["dynamics", "--t-final", "10", "--store-every", "0"],
+        ["synth", "--kind", "peak", "--duration", "10", "--dt", "0.1"],
+        ["taumin", "--kind", "dip", "--amp", "0.62", "--fit-only", "--seed", "-1"],
+        ["feasibility", "--prescription", "qm", "--sweep"],
+        ["feasibility", "--prescription", "pre", "--sweep", "--p", "0"],
+    ])
+    def test_refused_run_prints_and_writes_nothing(self, tmp_path, capsys, argv):
+        assert main([*argv, "--outdir", str(tmp_path)]) == 2
+        assert capsys.readouterr().out == ""
         assert not list(tmp_path.iterdir())
 
 

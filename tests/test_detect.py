@@ -744,6 +744,21 @@ class TestFitPrediction:
         assert fit_prediction("dip", 0.95, 1.0).warnings
         assert fit_prediction("dip", 0.62, 1.0).warnings == ()
 
+    def test_warns_where_the_confidence_law_turns_back_up(self):
+        # (2.94 - 7.38 erfcinv(p/100))^2 reaches 0 at p* = 100 erfc(2.94/7.38),
+        # about 57.3 %, and grows again above it
+        p_turn = 100.0 * math.erfc(2.94 / 7.38)
+        assert 57.3 < p_turn < 57.4
+        for p in (10.0, 50.0, 57.0, math.nextafter(p_turn, 0.0)):
+            assert fit_prediction("dip", 0.62, 1.0, p=p).warnings == (), p
+        at, above = (fit_prediction("dip", 0.62, 1.0, p=p) for p in (p_turn, 90.0))
+        assert at.seconds < 1e-20 < fit_prediction("dip", 0.62, 1.0, p=50.0).seconds < above.seconds
+        for p in (p_turn, math.nextafter(p_turn, 100.0), 60.0, 90.0):
+            (warning,) = fit_prediction("dip", 0.62, 1.0, p=p).warnings
+            assert "57.3%" in warning and "turns back up" in warning
+        # the law's warning follows the fit's own
+        assert fit_prediction("peak", 5.0, 1.0, p=90.0).warnings[1] == warning
+
     def test_validation(self):
         with pytest.raises(ConfigError):
             fit_prediction("notch", 1.0, 1.0)
