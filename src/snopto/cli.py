@@ -52,7 +52,7 @@ from .feasibility import (
     optimize_beta,
     report,
 )
-from .gaussian_dynamics import GaussianState, _moment_blocks, check_step
+from .gaussian_dynamics import COLUMNS, GaussianState, _moment_blocks, check_step
 from .materials import builtin_table, derive, get_material
 from .response import frequency_grid, gamma_squared
 from .spectra import (
@@ -240,12 +240,11 @@ def _emit_json(path: Path, command: str, conf: dict, result) -> None:
 _CSV_BLOCK_VALUES = 4096  # values per numpy formatting pass; bounds the memory held at once
 
 
-def _emit_csv(path: Path, command: str, conf: dict, columns, names=None) -> None:
-    """Header lines of conf, then the rows at %.17g; prints path.
+def _emit_csv(path: Path, command: str, conf: dict, names, blocks) -> None:
+    """Header lines of conf, the column names, then the rows at %.17g; prints path.
 
-    columns is a dict of name -> column, or an iterable of row blocks, each
-    a (rows, len(names)) array, written as it comes so that only one block
-    is held at a time.
+    blocks is an iterable of (rows, len(names)) float arrays, written as
+    each comes, so a generator of blocks is held one block at a time.
 
     The rows are the bytes np.savetxt(path, data, fmt="%.17g", header=...)
     writes, formatted in numpy by csvtext.rows_g17; its docstring states
@@ -255,15 +254,12 @@ def _emit_csv(path: Path, command: str, conf: dict, columns, names=None) -> None
     # at start-up cost every command 2 ms and 0.6 MB of peak memory
     from .csvtext import rows_g17
 
-    if isinstance(columns, dict):
-        names = list(columns)
-        columns = [np.column_stack([np.asarray(c, dtype=float) for c in columns.values()])]
     lines = [f"command = {command}", f"version = {__version__}"]
     lines += [f"{k} = {v!r}" if isinstance(v, float) else f"{k} = {v}" for k, v in conf.items()]
     lines.append(", ".join(names))
     with open(path, "wb") as fh:
         fh.write(("# " + "\n# ".join(lines) + "\n").encode())
-        for block in columns:
+        for block in blocks:
             for part in np.array_split(block, max(1, -(-block.size // _CSV_BLOCK_VALUES))):
                 fh.write(rows_g17(part))
     print(path)
@@ -407,14 +403,13 @@ def cmd_spectrum(args) -> int:
     """output spectrum curve plus feature block"""
     conf = resolve(args, _SPECS["spectrum"])
     exp = _experiment(conf)
-    if conf["beta"] is not None:
-        params = SpectrumParams.from_beta(exp.osc, conf["beta"])
-    elif conf["i_in"] > 0:
-        params = SpectrumParams.from_optics(exp.osc, exp.optics)
-    else:
+    if conf["beta"] is None and conf["i_in"] <= 0:
         # recorded so that a --config rerun takes the same from_beta path;
         # a beta recomputed from alpha_sq may differ in the last digit
         conf["beta"] = beta_limit(exp.osc, exp.material).recommended
+    if conf["beta"] is None:
+        params = SpectrumParams.from_optics(exp.osc, exp.optics)
+    else:
         params = SpectrumParams.from_beta(exp.osc, conf["beta"])
     prescription = conf["prescription"]
     if (conf["wmin"] is None) != (conf["wmax"] is None):
@@ -429,7 +424,7 @@ def cmd_spectrum(args) -> int:
     spectrum = evaluate(prescription, grid, params)
     peak_or_dip = feature(prescription, params)
     _emit_csv(_output(args, conf, prescription, ".csv"), "spectrum", conf,
-              {"omega": spectrum.grid, "value": spectrum.values})
+              ("omega", "value"), [np.column_stack((spectrum.grid, spectrum.values))])
     _emit_json(_output(args, conf, prescription, ".json"), "spectrum", conf, {
         "baseline": params.baseline,
         "beta": params.beta,
@@ -450,9 +445,7 @@ def cmd_dynamics(args) -> int:
     state = GaussianState.ground(exp.osc).squeezed(conf["squeeze"]).displaced(conf["x0"], conf["p0"])
     conf["dt"] = check_step(exp.osc, conf["t_final"], conf["dt"], conf["store_every"])
     blocks = _moment_blocks(state, exp.osc, conf["t_final"], conf["dt"], conf["sn_weight"], conf["store_every"])
-    _emit_csv(_output(args, conf, conf["material"], ".csv"), "dynamics", conf,
-              (np.column_stack(block) for block in blocks),
-              names=["t", "mean_x", "mean_p", "var_xx", "cov_xp", "var_pp", "energy"])
+    _emit_csv(_output(args, conf, conf["material"], ".csv"), "dynamics", conf, COLUMNS, blocks)
     return 0
 
 
@@ -473,7 +466,7 @@ def cmd_synth(args) -> int:
     model = _alt_model(conf)
     series = gen_baseband(model, conf["duration"], conf["dt"], conf["seed"])
     header_conf = {"dt": series.dt, "n": series.n, "seed": series.seed, "model": series.model_tag, **{k: v for k, v in conf.items() if k not in ("dt", "seed")}}
-    _emit_csv(_output(args, conf, conf["kind"], ".csv"), "synth", header_conf, {"sample": series.samples})
+    _emit_csv(_output(args, conf, conf["kind"], ".csv"), "synth", header_conf, ("sample",), [series.samples[:, None]])
     return 0
 
 
@@ -486,7 +479,7 @@ def cmd_detect(args) -> int:
         raise ConfigError(f"truth must be flat or {conf['kind']!r}, got {conf['truth']!r}")
     alt = _alt_model(conf)
     pair = HypothesisPair(BasebandModel("flat"), alt)
-    truth = BasebandModel("flat") if conf["truth"] == "flat" else alt
+    truth = pair.null_model if conf["truth"] == "flat" else alt
     report = outcome_probs(
         truth, pair, conf["duration"], conf["dt"], conf["yth"],
         conf["n"], conf["seed"], jobs=conf["jobs"],
@@ -531,7 +524,7 @@ def cmd_feasibility(args) -> int:
         sweep = optimize_beta(gamma_squared(exp.osc), exp.osc.gamma_m, p=conf["p"], n_grid=conf["n_grid"])
         result["sweep"] = {k: v for k, v in sweep._asdict().items() if k not in ("betas", "taus")}
         _emit_csv(_output(args, conf, prescription, "_sweep.csv"), "feasibility", conf,
-                  {"beta": sweep.betas, "tau_min": sweep.taus})
+                  ("beta", "tau_min"), [np.column_stack((sweep.betas, sweep.taus))])
     _emit_json(_output(args, conf, prescription, ".json"), "feasibility", conf, result)
     return 0
 

@@ -220,6 +220,7 @@ class BetaSweep(NamedTuple):
     betas: np.ndarray
     taus: np.ndarray  # s
     law_ratio: float  # beta_opt * gamma_sq / 0.31
+    warnings: tuple = ()  # those of the fit at beta_opt
 
 
 def check_sweep(p: float, n_grid: int) -> None:
@@ -241,7 +242,8 @@ def optimize_beta(gamma_sq: float, gamma_m: float, p: float = 10.0, n_grid: int 
     depth dip_depth(beta, gamma_sq) and width (beta + 1) gamma_m. Four
     decades around 1/gamma_sq are scanned on a log grid; the returned
     law_ratio says how far the numeric argmin sits from the 0.31/gamma_sq
-    rule of thumb (1.0 means exactly on it).
+    rule of thumb (1.0 means exactly on it), and warnings are those of the
+    fit at beta_opt.
     """
     if gamma_sq <= 0 or gamma_m <= 0:
         raise DomainError("gamma_sq and gamma_m must be > 0")
@@ -260,6 +262,7 @@ def optimize_beta(gamma_sq: float, gamma_m: float, p: float = 10.0, n_grid: int 
         betas=betas,
         taus=taus,
         law_ratio=float(betas[k] * gamma_sq / 0.31),
+        warnings=fit_prediction("dip", depths[k], (betas[k] + 1.0) * gamma_m, p=p).warnings,
     )
 
 

@@ -105,6 +105,10 @@ def _energy(mean_x, mean_p, var_xx, var_pp, osc: OscillatorConfig, sn_weight: fl
     return p2 / (2 * m) + 0.5 * m * osc.omega_cm**2 * x2 + sn_weight * m * osc.omega_sn**2 * var_xx
 
 
+# the record columns of _moment_blocks, in the order of MomentTrajectory's
+# fields; the dynamics CSV header names them
+COLUMNS = ("t", "mean_x", "mean_p", "var_xx", "cov_xp", "var_pp", "energy")
+
 # rows per block of _moment_blocks: the in-block angle tables hold this many
 # entries, and memory does not grow with t_final
 _BLOCK_ROWS = 4096
@@ -130,19 +134,8 @@ def evolve_moments(
 
     The records are the blocks of _moment_blocks joined end to end.
     """
-    times, moments, energy = (
-        np.concatenate(parts)
-        for parts in zip(*_moment_blocks(state0, osc, t_final, dt, sn_weight, store_every))
-    )
-    return MomentTrajectory(
-        times=times,
-        mean_x=moments[:, 0],
-        mean_p=moments[:, 1],
-        var_xx=moments[:, 2],
-        cov_xp=moments[:, 3],
-        var_pp=moments[:, 4],
-        energy=energy,
-    )
+    rows = np.concatenate([*_moment_blocks(state0, osc, t_final, dt, sn_weight, store_every)])
+    return MomentTrajectory(*rows.T)
 
 
 def check_step(osc: OscillatorConfig, t_final: float, dt: float | None, store_every: int) -> float:
@@ -178,11 +171,10 @@ def _moment_blocks(
     sn_weight: float,
     store_every: int,
 ):
-    """Yield the records of evolve_moments as (t, moments, energy) blocks.
+    """Yield the records of evolve_moments as (rows, 7) blocks in COLUMNS order.
 
-    moments is (rows, 5) in the order mean_x, mean_p, var_xx, cov_xp,
-    var_pp: the exact flow at t = i h, h = dt store_every. The means turn
-    at w = omega_cm,
+    Row i holds t = i h, h = dt store_every, the five moments of the exact
+    flow at t and their energy. The means turn at w = omega_cm,
 
         x = x0 cos(w t) + p0 / (M w) sin(w t),   p = p0 cos(w t) - M w x0 sin(w t),
 
@@ -197,9 +189,9 @@ def _moment_blocks(
     hold 4096 rows, so memory does not grow with t_final. The cos and sin of
     a row's angle come by angle addition from one table of in-block offsets
     j h (j < 4096) and the cos and sin at the block's start, at half the
-    cost of a cos and a sin per row. Adding 0.0 writes a zero moment as 0,
-    never -0. Arguments are checked, by check_step, when the first block is
-    drawn.
+    cost of a cos and a sin per row. Adding 0.0 to the moment columns writes
+    a zero moment as 0, never -0. Arguments are checked, by check_step, when
+    the first block is drawn.
     """
     dt = check_step(osc, t_final, dt, store_every)
     h = dt * store_every
@@ -213,23 +205,27 @@ def _moment_blocks(
     cos_w, sin_w = np.cos(w * offsets), np.sin(w * offsets)
     cos_w2, sin_w2 = np.cos(w2 * offsets), np.sin(w2 * offsets)
     for start in range(0, n_rec, _BLOCK_ROWS):
-        t = np.arange(start, min(start + _BLOCK_ROWS, n_rec)) * h
-        k = t.size
-        rows = np.empty((k, 5))
+        k = min(_BLOCK_ROWS, n_rec - start)
+        rows = np.empty((k, 7))
+        t, x, p, vxx, cxp, vpp, e = rows.T
+        t[:] = np.arange(start, start + k) * h
         if w > 0:
             cos_t, sin_t = _turned(w * t[0], cos_w[:k], sin_w[:k])
-            rows[:, 0] = x0 * cos_t + p0 / (m * w) * sin_t
-            rows[:, 1] = p0 * cos_t - m * w * x0 * sin_t
+            x[:] = x0 * cos_t + p0 / (m * w) * sin_t
+            p[:] = p0 * cos_t - m * w * x0 * sin_t
         else:
-            rows[:, 0] = x0 + p0 / m * t
-            rows[:, 1] = p0
+            x[:] = x0 + p0 / m * t
+            p[:] = p0
         cos_t, sin_t = _turned(w2 * t[0], cos_w2[:k], sin_w2[:k])
         swing = b * cos_t + c * sin_t
-        rows[:, 2] = a + swing
-        rows[:, 3] = scale * (c * cos_t - b * sin_t)
-        rows[:, 4] = scale**2 * (a - swing)
-        rows += 0.0
-        yield t, rows, _energy(rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 4], osc, sn_weight)
+        vxx[:] = a + swing
+        cxp[:] = scale * (c * cos_t - b * sin_t)
+        vpp[:] = scale**2 * (a - swing)
+        # not the energy column: np.empty left it unset, and a signaling nan
+        # there would raise the invalid flag and print a RuntimeWarning
+        rows[:, 1:6] += 0.0
+        e[:] = _energy(x, p, vxx, vpp, osc, sn_weight)
+        yield rows
 
 
 def _turned(angle: float, cos_offset: np.ndarray, sin_offset: np.ndarray):

@@ -5,13 +5,14 @@ import hashlib
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snopto import __version__, cli, feasibility, spectra
+from snopto import __version__, cli, feasibility, gaussian_dynamics, spectra
 from snopto.cli import _ALL_KEYS, _SPECS, _emit_csv, build_parser, load_config, main, parse_quantity
 from snopto.csvtext import rows_g17
 from snopto.errors import ConfigError
@@ -248,10 +249,10 @@ class TestEmitCsv:
         flat[:len(self.SPECIAL)] = self.SPECIAL[:flat.size]
         flat[-len(self.SPECIAL):] = self.SPECIAL[-flat.size:]
         conf = {"material": "W", "mass": 0.2, "n": 3, "beta": None}
-        columns = {f"c{i}": data[:, i] for i in range(ncols)}
-        _emit_csv(tmp_path / "got.csv", "test", conf, columns)
+        names = [f"c{i}" for i in range(ncols)]
+        _emit_csv(tmp_path / "got.csv", "test", conf, names, [data])
         header = "\n".join(["command = test", f"version = {__version__}", "material = W",
-                            "mass = 0.2", "n = 3", "beta = None", ", ".join(columns)])
+                            "mass = 0.2", "n = 3", "beta = None", ", ".join(names)])
         np.savetxt(tmp_path / "want.csv", data, fmt="%.17g", header=header)
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
@@ -335,6 +336,21 @@ class TestG17Rows:
         self.check(np.array(values * cols), cols)
 
 
+class _NanEmptyNumpy:
+    """numpy, except that np.empty fills its float arrays with a signaling nan.
+
+    Arithmetic on a signaling nan raises the invalid flag, which numpy
+    reports as a RuntimeWarning, so reading a value before writing it shows.
+    """
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def empty(shape):
+        return np.full(shape, 0x7FF0000000000001, dtype=np.uint64).view(np.float64)
+
+
 class TestDynamics:
     def test_trajectory_csv(self, tmp_path):
         assert main(["dynamics", "--t-final", "100", "--dt", "0.0034",
@@ -400,15 +416,27 @@ class TestDynamics:
         assert message in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
-    def test_csv_reads_back_the_records(self, tmp_path):
+    def test_csv_reads_back_the_records(self, tmp_path, capsys, monkeypatch):
         # %.17g round-trips every double, so the file holds the records bit
-        # for bit; 300 s at every step is 17 386 rows, in five 4096-row blocks
-        exp = ExperimentConfig.build(**PRE_DESIGN)
-        for t_final, store_every in ((80.0, 3), (300.0, 1)):
+        # for bit; 300 s at every step is 17 386 rows, in five 4096-row blocks.
+        # The last case coasts (omega_cm = 0). No case may warn, as a warning
+        # would reach stderr outside the test runner: np.empty may hand back
+        # signaling nans, here it always does, and no unwritten value may be read
+        monkeypatch.setattr(gaussian_dynamics, "np", _NanEmptyNumpy())
+        for t_final, store_every, omega_cm, squeeze, x0 in ((80.0, 3, None, 0.3, 2e-16),
+                                                           (300.0, 1, None, 0.3, 2e-16),
+                                                           (100.0, 1, 0.0, 0.0, 1e-16)):
             out = tmp_path / f"{t_final}-{store_every}"
-            assert main(["dynamics", "--t-final", repr(t_final), "--store-every", str(store_every),
-                         "--squeeze", "0.3", "--x0", "2e-16", "--p0", "1e-18", "--outdir", str(out)]) == 0
-            state = GaussianState.ground(exp.osc).squeezed(0.3).displaced(2e-16, 1e-18)
+            flags = [] if omega_cm is None else ["--omega-cm", repr(omega_cm)]
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert main(["dynamics", "--t-final", repr(t_final), "--store-every", str(store_every), *flags,
+                             "--squeeze", repr(squeeze), "--x0", repr(x0), "--p0", "1e-18",
+                             "--outdir", str(out)]) == 0
+            assert [str(w.message) for w in caught] == []
+            assert capsys.readouterr().err == ""
+            exp = ExperimentConfig.build(**{**PRE_DESIGN, **({} if omega_cm is None else {"omega_cm": omega_cm})})
+            state = GaussianState.ground(exp.osc).squeezed(squeeze).displaced(x0, 1e-18)
             traj = evolve_moments(state, exp.osc, t_final, None, 0.5, store_every)
             records = np.column_stack([traj.times, traj.mean_x, traj.mean_p, traj.var_xx,
                                        traj.cov_xp, traj.var_pp, traj.energy])
@@ -604,6 +632,16 @@ class TestFeasibility:
         curve = np.loadtxt(tmp_path / "feasibility_post_seed0_sweep.csv")
         assert curve.shape == (121, 2)
         assert np.all(curve[:, 1] > 0)
+
+    # the sweep's fit at beta_opt is past the confidence law's turn at p = 90
+    # and short of it at p = 10; its warnings reach the report either way
+    @pytest.mark.parametrize("p,warned", [("90", True), ("10", False)])
+    def test_sweep_carries_the_fit_warnings(self, tmp_path, p, warned):
+        assert main(["feasibility", "--prescription", "post", "--sweep", "--p", p,
+                     "--outdir", str(tmp_path)]) == 0
+        sweep = json.loads((tmp_path / "feasibility_post_seed0.json").read_text())["result"]["sweep"]
+        assert sweep["warnings"] == (["confidence law reaches 0 at p = 57.3% and turns back up above it"]
+                                     if warned else [])
 
     def test_prescription_required(self, capsys):
         assert main(["feasibility"]) == 2
