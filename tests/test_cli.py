@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from snopto import __version__, cli, feasibility, gaussian_dynamics, spectra
 from snopto.cli import _ALL_KEYS, _SPECS, _emit_csv, build_parser, load_config, main, parse_quantity
-from snopto.csvtext import rows_g17
+from snopto.csvtext import G17Rows
 from snopto.errors import ConfigError
 from snopto.feasibility import PRE_DESIGN, ExperimentConfig, pre_report
 from snopto.gaussian_dynamics import GaussianState, check_step, evolve_moments
@@ -264,19 +264,65 @@ def _percent_rows(block) -> bytes:
     return ((row_fmt * rows) % tuple(block.ravel().tolist())).encode()
 
 
+def _assert_rows_equal(got: bytes, want: bytes):
+    """Fail with the count of differing rows and the first of them, if any differ."""
+    if got != want:
+        bad = [(g, w) for g, w in zip(got.split(b"\n"), want.split(b"\n")) if g != w]
+        pytest.fail(f"{len(bad)} rows differ, first {bad[0] if bad else (len(got), len(want))}")
+
+
 class TestG17Rows:
-    """`rows_g17` writes the bytes of Python's "%.17g", value for value."""
+    """`G17Rows` writes the bytes of Python's "%.17g", value for value."""
 
     @staticmethod
     def check(values, cols=1):
         values = np.asarray(values, dtype=float).ravel()
         block = values[:values.size - values.size % cols].reshape(-1, cols)
+        rows_g17 = G17Rows()  # one formatter for every part, as _emit_csv uses it
         for start in range(0, len(block), 4096):
             part = block[start:start + 4096]
-            got, want = rows_g17(part), _percent_rows(part)
-            if got != want:
-                bad = [(g, w) for g, w in zip(got.split(b"\n"), want.split(b"\n")) if g != w]
-                pytest.fail(f"{len(bad)} rows differ, first {bad[0]}")
+            _assert_rows_equal(rows_g17(part), _percent_rows(part))
+
+    def test_reuse_leaks_no_state(self, tmp_path):
+        # one formatter, many block sizes: a large block holding every kind
+        # of value the Python route takes (and -0.0), then smaller blocks of
+        # ordinary values, one row, and a block larger than the first
+        rng = np.random.default_rng(11)
+        first = rng.standard_normal((4096, 7)) * 10.0 ** rng.integers(-20, 20, (4096, 7))
+        m = rng.integers(4 * 10**15, 9 * 10**15, 2000) | 1
+        python_route = np.concatenate([[np.nan, np.inf, -np.inf, 1e300, -1e300, 5e-324, -2.5e-310, -0.0],
+                                       m / 4.0, -m / 4.0])
+        first.ravel()[rng.choice(first.size, python_route.size, replace=False)] = python_route
+        blocks = [first, rng.standard_normal((1000, 7)), rng.standard_normal((300, 7)) * 1e-16,
+                  np.arange(7.0)[None, :] + 0.5, rng.standard_normal((4097, 7)) * 1e5]
+        rows_g17 = G17Rows()
+        for block in blocks:
+            _assert_rows_equal(rows_g17(block), _percent_rows(block))
+        _emit_csv(tmp_path / "got.csv", "test", {}, [f"c{i}" for i in range(7)], iter(blocks))
+        np.savetxt(tmp_path / "want.csv", np.concatenate(blocks), fmt="%.17g",
+                   header="\n".join(["command = test", f"version = {__version__}",
+                                      ", ".join(f"c{i}" for i in range(7))]))
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_reused_scratch_bounds_allocation(self):
+        # after a warm-up part sizes the scratch, a 4096-value part allocates
+        # only its text, about 46 bytes per value at the peak; a megabyte of
+        # numpy temporaries per part, 250 bytes per value, was handed back to
+        # the kernel and faulted in again part after part
+        rng = np.random.default_rng(12)
+        rows_g17 = G17Rows()
+        tracemalloc.start()
+        try:
+            rows_g17(rng.standard_normal((586, 7)))
+            for _ in range(3):
+                part = rng.standard_normal((585, 7)) * 10.0 ** rng.integers(-30, 30, (585, 7))
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                rows_g17(part)
+                peak = tracemalloc.get_traced_memory()[1] - before
+                assert peak <= 128 * part.size
+        finally:
+            tracemalloc.stop()
 
     @pytest.mark.parametrize("cols", [1, 7])
     def test_random_bit_patterns(self, cols):
