@@ -67,13 +67,20 @@ class GaussianState:
         return GaussianState(self.mean_x + dx, self.mean_p + dp, self.var_xx, self.cov_xp, self.var_pp)
 
     def squeezed(self, r: float) -> "GaussianState":
-        """Scale var_xx by exp(-2r) and var_pp by exp(+2r) (pure x squeeze)."""
+        """Scale var_xx by exp(-2r) and var_pp by exp(+2r) (pure x squeeze).
+
+        A squeeze whose scaled variances overflow, as they do once exp(2|r|)
+        passes the largest double (|r| > 354.89), is refused with a
+        DomainError before numpy can warn of the overflow.
+        """
         if self.cov_xp != 0.0:
             raise DomainError("squeeze helper expects an axis-aligned state")
-        return GaussianState(
-            self.mean_x, self.mean_p,
-            self.var_xx * np.exp(-2 * r), 0.0, self.var_pp * np.exp(2 * r),
-        )
+        try:
+            with np.errstate(over="raise"):
+                var_xx, var_pp = self.var_xx * np.exp(-2 * r), self.var_pp * np.exp(2 * r)
+        except FloatingPointError:
+            raise DomainError(f"squeeze r = {r!r} overflows the variances") from None
+        return GaussianState(self.mean_x, self.mean_p, var_xx, 0.0, var_pp)
 
 
 @dataclass(frozen=True)

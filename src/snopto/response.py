@@ -122,31 +122,6 @@ def s_fzp(omega, osc: OscillatorConfig):
     return HBAR * np.abs(np.asarray(omega, dtype=float)) * osc.mass * osc.gamma_m
 
 
-def s_fcl(omega, osc: OscillatorConfig):
-    """Classical-bath force spectral density, exact Planck form.
-
-    2 hbar |omega| M gamma_m / (exp(hbar |omega| / k_B t0) - 1), symmetrized
-    through |omega| so that it is even like every other double-sided density
-    here. At omega = 0 the limit 2 k_B t0 M gamma_m is used; at t0 = 0 it
-    vanishes. At high temperature it tends to that flat value everywhere.
-    """
-    omega = np.asarray(omega, dtype=float)
-    scalar = omega.ndim == 0
-    w = np.abs(np.atleast_1d(omega))
-    if osc.t0 == 0.0:
-        out = np.zeros_like(w)
-        return out[0] if scalar else out
-    arg = HBAR * w / (K_B * osc.t0)
-    out = np.empty_like(w)
-    tiny = arg < 1e-12
-    big = arg > 700.0
-    mid = ~(tiny | big)
-    out[tiny] = 2.0 * K_B * osc.t0 * osc.mass * osc.gamma_m
-    out[big] = 0.0
-    out[mid] = 2.0 * HBAR * w[mid] * osc.mass * osc.gamma_m / np.expm1(arg[mid])
-    return out[0] if scalar else out
-
-
 def s_x_th(omega, osc: OscillatorConfig):
     """Thermal position noise 2 k_B t0 Im[g_c(omega)] / omega (m^2 s).
 

@@ -399,13 +399,19 @@ class _NanEmptyNumpy:
 
 class TestDynamics:
     def test_trajectory_csv(self, tmp_path):
-        assert main(["dynamics", "--t-final", "100", "--dt", "0.0034",
-                     "--store-every", "50", "--x0", "1e-9",
-                     "--outdir", str(tmp_path)]) == 0
-        data = np.loadtxt(tmp_path / "dynamics_W_seed0.csv")
-        assert data.shape[1] == 7
-        energy = data[:, 6]
-        assert np.max(np.abs(energy / energy[0] - 1.0)) < 1e-9
+        # the records are the exact moment flow, so the conserved energy
+        # stays flat to rounding: over 1e5 s at 5 mHz it spreads by 2.2e-16
+        # in 57 298 rows, where fourth-order Runge-Kutta records spread by 7.0e-11
+        for i, (flags, bound) in enumerate([
+            (["--t-final", "100", "--dt", "0.0034", "--store-every", "50", "--x0", "1e-9"], 1e-9),
+            (["--omega-cm", "5 mHz", "--squeeze", "0.4", "--t-final", "100000", "--store-every", "100"], 1e-14),
+        ]):
+            out = tmp_path / str(i)
+            assert main(["dynamics", *flags, "--outdir", str(out)]) == 0
+            data = np.loadtxt(out / "dynamics_W_seed0.csv")
+            assert data.shape[1] == 7
+            energy = data[:, 6]
+            assert np.max(np.abs(energy / energy[0] - 1.0)) < bound, flags
 
     # sha256 of the emitted CSV, header included, per (store_every,
     # t_final) at the default dt: 4637 and 5796 rows (two blocks of 4096
@@ -487,6 +493,17 @@ class TestDynamics:
             records = np.column_stack([traj.times, traj.mean_x, traj.mean_p, traj.var_xx,
                                        traj.cov_xp, traj.var_pp, traj.energy])
             assert np.array_equal(np.loadtxt(out / "dynamics_W_seed0.csv"), records)
+
+    @pytest.mark.parametrize("squeeze", ["355", "-355"])
+    def test_overflowing_squeeze_is_one_error_line(self, tmp_path, capsys, squeeze):
+        # exp(710) is past the largest double: the run is refused before
+        # numpy warns of the overflow, and it writes nothing
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["dynamics", "--t-final", "10", f"--squeeze={squeeze}", "--outdir", str(tmp_path)]) == 1
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == f"error: squeeze r = {float(squeeze)!r} overflows the variances\n"
+        assert not list(tmp_path.iterdir())
 
     def test_zero_means_print_as_zero(self, tmp_path):
         # the default state sits at the origin; 0 * cos + 0 * sin is -0
@@ -634,6 +651,14 @@ class TestTauMin:
         report = (tmp_path / f"taumin_peak_seed{seed}.json").read_bytes()
         assert hashlib.sha256(report).hexdigest() == self.FROZEN[amp, seed]
 
+    def test_last_doubling_stops_at_max_samples(self, tmp_path):
+        # the fit's estimate, 3003 samples, fails at p = 1 % and its double
+        # passes --max-samples: the search probes 5000 itself and brackets there
+        assert main(["taumin", "--kind", "dip", "--amp", "0.62", "--p", "1", "--n", "2000",
+                     "--max-samples", "5000", "--outdir", str(tmp_path)]) == 0
+        r = json.loads((tmp_path / "taumin_dip_seed0.json").read_text())["result"]
+        assert 3003 < r["n_samples"] <= 5000
+
     def test_missing_amp(self, capsys):
         assert main(["taumin", "--kind", "dip"]) == 2
         assert "--amp" in capsys.readouterr().err
@@ -742,13 +767,35 @@ class TestFeasibility:
 
 
     def test_config_round_trip(self, tmp_path):
-        assert main(["feasibility", "--prescription", "post", "--sweep", "--n-grid", "121",
-                     "--seed", "2", "--outdir", str(tmp_path)]) == 0
-        rerun = tmp_path / "rerun"
-        assert main(["feasibility", "--config", str(tmp_path / "feasibility_post_seed2.json"),
-                     "--outdir", str(rerun)]) == 0
-        for name in ("feasibility_post_seed2.json", "feasibility_post_seed2_sweep.csv"):
-            assert (tmp_path / name).read_bytes() == (rerun / name).read_bytes()
+        for prescription in ("pre", "post"):
+            assert main(["feasibility", "--prescription", prescription, "--sweep", "--n-grid", "121",
+                         "--seed", "2", "--outdir", str(tmp_path)]) == 0
+            rerun = tmp_path / "rerun"
+            assert main(["feasibility", "--config", str(tmp_path / f"feasibility_{prescription}_seed2.json"),
+                         "--outdir", str(rerun)]) == 0
+            for name in (f"feasibility_{prescription}_seed2.json", f"feasibility_{prescription}_seed2_sweep.csv"):
+                assert (tmp_path / name).read_bytes() == (rerun / name).read_bytes()
+
+
+class TestWorkerSplit:
+    # 4100 trials are enough for --jobs 2 to split the Monte Carlo across two
+    # worker processes, in ranges cut at the 256-trial blocks of the seed
+    # contract; the flat truth's 1429 samples take the whitening path with
+    # the dip factor filled past its fixed point (k = 327), and the duration
+    # search splits each nested pass and runs the threshold sweep per probe
+    @pytest.mark.parametrize("argv,name", [
+        (["detect", "--truth", "dip", "--amp", "0.62", "--duration", "20", "--dt", "0.14", "--yth", "1"],
+         "detect_dip_seed0.json"),
+        (["detect", "--truth", "flat", "--amp", "0.62", "--duration", "200", "--dt", "0.14", "--yth", "1"],
+         "detect_flat_seed0.json"),
+        (["taumin", "--kind", "peak", "--amp", "30"], "taumin_peak_seed0.json"),
+    ], ids=["detect-dip", "detect-flat", "taumin-peak"])
+    def test_two_workers_report_what_one_reports(self, tmp_path, argv, name):
+        results = []
+        for jobs in ("1", "2"):
+            assert main([*argv, "--n", "4100", "--jobs", jobs, "--outdir", str(tmp_path / jobs)]) == 0
+            results.append(json.loads((tmp_path / jobs / name).read_text())["result"])
+        assert results[0] == results[1]
 
 
 _DETECT_ARGS = ["detect", "--truth", "dip", "--amp", "0.62", "--duration", "14",

@@ -9,7 +9,7 @@ from snopto.errors import ConfigError, DomainError
 from snopto import response as rsp
 from snopto.spectra import SpectrumParams
 
-from conftest import osmium_osc, reference_optics, tungsten_osc
+from conftest import osmium_osc, reference_optics
 
 
 class TestOscillatorConfig:
@@ -146,32 +146,6 @@ class TestForceSpectra:
         wq = osc.omega_q
         assert rsp.s_fzp(wq, osc) == pytest.approx(HBAR * wq * osc.mass * osc.gamma_m, rel=1e-13)
 
-    def test_s_fcl_zero_temperature(self):
-        cold = rsp.OscillatorConfig(mass=0.5, omega_cm=2.0, omega_sn=1.5, gamma_m=1e-3, t0=0.0)
-        w = np.linspace(-5, 5, 11)
-        assert np.all(rsp.s_fcl(w, cold) == 0.0)
-
-    def test_s_fcl_classical_limit(self):
-        w = 1e-6 * K_B * self.osc.t0 / HBAR
-        flat = 2 * K_B * self.osc.t0 * self.osc.mass * self.osc.gamma_m
-        assert rsp.s_fcl(w, self.osc) == pytest.approx(flat, rel=1e-5)
-
-    def test_s_fcl_even_and_nonnegative(self):
-        w = np.linspace(-3e12, 3e12, 101)
-        vals = rsp.s_fcl(w, self.osc)
-        assert np.allclose(vals, vals[::-1], rtol=1e-12)
-        assert np.all(vals >= 0)
-
-    def test_s_fcl_planck_cutoff(self):
-        w_deep = 800 * K_B * self.osc.t0 / HBAR
-        assert rsp.s_fcl(w_deep, self.osc) == 0.0
-
-    def test_s_fcl_over_s_fzp_high_t(self):
-        osc = tungsten_osc()
-        wq = osc.omega_q
-        ratio = rsp.s_fcl(wq, osc) / rsp.s_fzp(wq, osc)
-        assert ratio == pytest.approx(2 * K_B * osc.t0 / (HBAR * wq), rel=1e-5)
-
 
 class TestPositionThermalNoise:
     osc = rsp.OscillatorConfig(mass=0.5, omega_cm=2.0, omega_sn=1.5, gamma_m=1e-3, t0=10.0)
@@ -185,8 +159,10 @@ class TestPositionThermalNoise:
         assert rsp.s_x_th(self.osc.omega_cm, self.osc) == pytest.approx(expect, rel=1e-6)
 
     def test_equals_gc_squared_times_classical_force(self):
+        # |g_c|^2 times the classical bath's flat force density 2 k_B t0 M gamma_m
         w = np.geomspace(0.01, 100, 301)
-        via_force = np.abs(rsp.g_c(w, self.osc)) ** 2 * rsp.s_fcl(w, self.osc)
+        force = 2 * K_B * self.osc.t0 * self.osc.mass * self.osc.gamma_m
+        via_force = np.abs(rsp.g_c(w, self.osc)) ** 2 * force
         assert np.allclose(rsp.s_x_th(w, self.osc), via_force, rtol=1e-5)
 
     def test_even(self):
