@@ -1,32 +1,10 @@
 """Simulation and detection-planning toolkit for gravitationally self-trapped
 optomechanics: predicted output spectra under competing measurement
 prescriptions, Gaussian moment dynamics, stationary time-series synthesis,
-likelihood-ratio decision statistics, and feasibility scaling laws."""
+likelihood-ratio decision statistics, and feasibility scaling laws.
+
+The package root holds only the version. Import each layer by name
+(`from snopto import spectra`), which loads that layer and the ones below it.
+"""
 
 __version__ = "0.1.0"
-
-from .errors import BoundedSearchError, ConfigError, DomainError
-from .materials import MaterialSpec, get_material, omega_sn
-from .response import OpticalConfig, OscillatorConfig
-from .spectra import SpectrumParams
-from .synth import BasebandModel, BasebandSeries
-from .detect import HypothesisPair
-from .feasibility import ExperimentConfig, FeasibilityReport
-
-__all__ = [
-    "__version__",
-    "DomainError",
-    "ConfigError",
-    "BoundedSearchError",
-    "MaterialSpec",
-    "get_material",
-    "omega_sn",
-    "OscillatorConfig",
-    "OpticalConfig",
-    "SpectrumParams",
-    "BasebandModel",
-    "BasebandSeries",
-    "HypothesisPair",
-    "ExperimentConfig",
-    "FeasibilityReport",
-]

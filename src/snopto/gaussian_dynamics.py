@@ -71,7 +71,9 @@ class GaussianState:
 
         A squeeze whose scaled variances overflow, as they do once exp(2|r|)
         passes the largest double (|r| > 354.89), is refused with a
-        DomainError before numpy can warn of the overflow.
+        DomainError before numpy can warn of the overflow. So is one that
+        leaves either variance below the smallest normal double, where its
+        rounding decides whether the state passes the uncertainty bound.
         """
         if self.cov_xp != 0.0:
             raise DomainError("squeeze helper expects an axis-aligned state")
@@ -80,6 +82,8 @@ class GaussianState:
                 var_xx, var_pp = self.var_xx * np.exp(-2 * r), self.var_pp * np.exp(2 * r)
         except FloatingPointError:
             raise DomainError(f"squeeze r = {r!r} overflows the variances") from None
+        if min(var_xx, var_pp) < np.finfo(float).tiny:
+            raise DomainError(f"squeeze r = {r!r} underflows the variances")
         return GaussianState(self.mean_x, self.mean_p, var_xx, 0.0, var_pp)
 
 

@@ -120,8 +120,6 @@ class LorentzianFeature:
 class OutputSpectrum:
     grid: np.ndarray
     values: np.ndarray
-    prescription: str
-    well_resolved: bool
 
 
 def s_qm(omega, params: SpectrumParams):
@@ -180,8 +178,6 @@ def evaluate(prescription: str, omega, params: SpectrumParams) -> OutputSpectrum
     return OutputSpectrum(
         grid=omega,
         values=np.asarray(fn(omega, params), dtype=float),
-        prescription=prescription,
-        well_resolved=params.well_resolved,
     )
 
 

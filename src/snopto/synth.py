@@ -154,8 +154,6 @@ class ComplexBaseband:
     samples: np.ndarray
     seed: int
     model_tag: str
-    center: float
-    halfwidth: float
 
     def __post_init__(self):
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=complex))
@@ -497,8 +495,6 @@ def demodulate(series: BasebandSeries, cfg: DemodConfig) -> ComplexBaseband:
         samples=xi,
         seed=series.seed,
         model_tag=series.model_tag,
-        center=cfg.center,
-        halfwidth=cfg.halfwidth_sigma,
     )
 
 

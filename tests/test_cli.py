@@ -505,6 +505,15 @@ class TestDynamics:
         assert capsys.readouterr().err == f"error: squeeze r = {float(squeeze)!r} overflows the variances\n"
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("squeeze", ["320", "333", "340", "-320"])
+    def test_underflowing_squeeze_is_one_error_line(self, tmp_path, capsys, squeeze):
+        # past |r| of about 313–316 a variance of the default state is subnormal,
+        # where rounding alone decides whether the uncertainty bound holds:
+        # the run is refused whichever way it rounds, and it writes nothing
+        assert main(["dynamics", "--t-final", "10", f"--squeeze={squeeze}", "--outdir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: squeeze r = {float(squeeze)!r} underflows the variances\n"
+        assert not list(tmp_path.iterdir())
+
     def test_zero_means_print_as_zero(self, tmp_path):
         # the default state sits at the origin; 0 * cos + 0 * sin is -0
         # wherever both are negative, which must not reach the file as -0

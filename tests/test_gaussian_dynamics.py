@@ -9,6 +9,7 @@ from scipy.linalg import expm
 
 from snopto.constants import HBAR
 from snopto.errors import ConfigError, DomainError
+from snopto.feasibility import PRE_DESIGN, ExperimentConfig
 from snopto.gaussian_dynamics import (
     GaussianState,
     ellipse_frequency,
@@ -71,6 +72,19 @@ class TestState:
         tilted = GaussianState(0, 0, g.var_xx * 2, g.var_xx * 0.1 * 0.2 * 0.36, g.var_pp * 2)
         with pytest.raises(DomainError):
             tilted.squeezed(0.1)
+
+    def test_squeeze_refuses_subnormal_variances(self):
+        # the default `dynamics` state: var_xx 7.24e-34 m^2 turns subnormal
+        # past r = 316.0, var_pp 3.84e-36 past r = -313.4; every squeeze up
+        # to the overflow at |r| = 354.9 is then refused alike
+        g = GaussianState.ground(ExperimentConfig.build(**PRE_DESIGN).osc)
+        tiny = np.finfo(float).tiny
+        for r in (316.0, -313.4):
+            s = g.squeezed(r)
+            assert min(s.var_xx, s.var_pp) >= tiny
+        for r in np.concatenate([np.arange(6321, 7098), -np.arange(6269, 7098)]) / 20:
+            with pytest.raises(DomainError, match=r"^squeeze r = .* underflows the variances$"):
+                g.squeezed(float(r))
 
 
 class TestEnergy:

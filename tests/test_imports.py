@@ -1,5 +1,11 @@
 """What importing and running snopto loads, checked in a fresh interpreter.
 
+Importing one layer loads that layer and the layers it builds on, nothing
+more. The package root holds only `__version__` and imports nothing, so
+`import snopto` loads no numpy, and the deterministic layers (`spectra`,
+`gaussian_dynamics`, `csvtext`) load neither the Monte Carlo layers
+(`synth`, `detect`) nor `numpy.random`.
+
 The command line imports numpy and the standard library only. numpy loads
 some submodules lazily on first use; any such import inside a run lands in
 the run's own time, so the Monte Carlo commands and `spectrum` must add
@@ -18,6 +24,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import snopto
 
@@ -52,6 +60,27 @@ def _run(code: str, tmp_path) -> dict:
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_root_imports_nothing(tmp_path):
+    out = _run(
+        "import json, sys, snopto\n"
+        "print(json.dumps({'numpy': sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'),"
+        " 'names': sorted(n for n in vars(snopto) if not n.startswith('_') or n in ('__all__', '__version__'))}))",
+        tmp_path,
+    )
+    assert out == {"numpy": [], "names": ["__version__"]}
+
+
+@pytest.mark.parametrize("layer", ["spectra", "gaussian_dynamics", "csvtext"])
+def test_deterministic_layer_loads_no_monte_carlo(tmp_path, layer):
+    out = _run(
+        f"import json, sys, snopto.{layer}\n"
+        "print(json.dumps({'loaded': [m for m in ('snopto.synth', 'snopto.detect', 'numpy.random')"
+        " if m in sys.modules]}))",
+        tmp_path,
+    )
+    assert out == {"loaded": []}
 
 
 def test_cli_import_loads_no_scipy(tmp_path):

@@ -348,9 +348,8 @@ class TestEvaluateAndGrid:
     def test_evaluate_prescriptions(self, narrow_params):
         w = np.geomspace(0.01, 10, 64)
         out = sp.evaluate("pre", w, narrow_params)
-        assert out.prescription == "pre"
-        assert out.well_resolved is True
-        assert out.values.shape == w.shape
+        assert np.array_equal(out.grid, w)
+        assert np.array_equal(out.values, sp.s_pre_total(w, narrow_params))
         with pytest.raises(ConfigError):
             sp.evaluate("both", w, narrow_params)
 

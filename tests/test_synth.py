@@ -576,8 +576,7 @@ class TestDemodulationMemory:
 class TestQuadratures:
     def test_real_input_gives_zero_sine_quadrature(self):
         xi = ComplexBaseband(
-            dt=0.1, samples=np.linspace(1, 2, 64) + 0j, seed=0,
-            model_tag="x", center=5.0, halfwidth=1.0,
+            dt=0.1, samples=np.linspace(1, 2, 64) + 0j, seed=0, model_tag="x",
         )
         c, s = quadratures(xi)
         assert np.all(s.samples == 0.0)
@@ -586,7 +585,7 @@ class TestQuadratures:
     def test_parseval_identity(self):
         rng = np.random.default_rng(4)
         z = rng.standard_normal(512) + 1j * rng.standard_normal(512)
-        xi = ComplexBaseband(0.1, z, 0, "x", 5.0, 1.0)
+        xi = ComplexBaseband(0.1, z, 0, "x")
         c, s = quadratures(xi)
         lhs = np.mean(c.samples**2) + np.mean(s.samples**2)
         rhs = np.mean(np.abs(z) ** 2)
