@@ -53,7 +53,7 @@ from .feasibility import (
     report,
 )
 from .gaussian_dynamics import COLUMNS, GaussianState, _moment_blocks, check_step
-from .materials import builtin_table, derive, get_material
+from .materials import BUILTIN, delta_x_zp, get_material, omega_sn
 from .response import frequency_grid, gamma_squared
 from .spectra import (
     SpectrumParams,
@@ -383,18 +383,17 @@ def _experiment(conf) -> ExperimentConfig:
 def cmd_material(args) -> int:
     """builtin material table"""
     if args.all:
-        table = builtin_table()
+        specs = BUILTIN
     elif args.name:
-        spec = get_material(args.name)
-        table = [(spec, derive(spec))]
+        specs = (get_material(args.name),)
     else:
         raise ConfigError("give a material name or --all")
     keys = ("name", "atomic_mass_amu", "debye_waller_A2", "density_g_cm3", "delta_x_zp_pm", "omega_sn")
     widths = [max(len(k), 12) for k in keys]
     print("  ".join(k.ljust(w) for k, w in zip(keys, widths)))
-    for spec, d in table:
+    for spec in specs:
         values = (spec.atomic_mass / AMU, spec.debye_waller_B / 1e-20, spec.density / 1e3,
-                  d.delta_x_zp / 1e-12, d.omega_sn)
+                  delta_x_zp(spec.debye_waller_B) / 1e-12, omega_sn(spec))
         cells = (spec.name, *(f"{v:.4f}" for v in values))
         print("  ".join(c.ljust(w) for c, w in zip(cells, widths)))
     return 0

@@ -480,6 +480,17 @@ _CONFIDENCE_LAW = (2.94, 7.38)
 _P_TURN = 100.0 * math.erfc(_CONFIDENCE_LAW[0] / _CONFIDENCE_LAW[1])
 
 
+def fit_in_range(kind: str, amplitude: float) -> bool:
+    """Whether a feature of this size lies where the printed fits hold.
+
+    A peak needs height h > 10 and a dip depth d < 0.9; fit_prediction
+    warns outside, and the feasibility reports' fit_range flag reads here.
+    """
+    if kind not in ("peak", "dip"):
+        raise ConfigError(f"kind must be peak or dip, got {kind!r}")
+    return amplitude > 10.0 if kind == "peak" else amplitude < 0.9
+
+
 def fit_prediction(kind: str, amplitude: float, gamma: float, p: float = 10.0) -> FitPrediction:
     """Measurement-time estimate from the printed Monte Carlo fits.
 
@@ -496,21 +507,17 @@ def fit_prediction(kind: str, amplitude: float, gamma: float, p: float = 10.0) -
         raise DomainError(f"gamma must be > 0, got {gamma}")
     if not 0 < p < 100:
         raise ConfigError(f"p must be a percentage in (0, 100), got {p}")
-    warnings = []
+    in_range = fit_in_range(kind, amplitude)  # refuses any other kind
     if kind == "peak":
         if amplitude <= 0:
             raise DomainError("peak fit needs amplitude > 0")
-        if amplitude <= 10:
-            warnings.append("peak fit is unreliable below h of about 10")
         ct_halved = 13.5 / amplitude**0.73
-    elif kind == "dip":
+        warnings = [] if in_range else ["peak fit is unreliable below h of about 10"]
+    else:
         if not 0 < amplitude < 1:
             raise DomainError("dip fit needs 0 < amplitude < 1")
-        if amplitude >= 0.9:
-            warnings.append("dip fit breaks down as d approaches 1")
         ct_halved = 18.3 / amplitude**2 - 10.7 / amplitude
-    else:
-        raise ConfigError(f"kind must be peak or dip, got {kind!r}")
+        warnings = [] if in_range else ["dip fit breaks down as d approaches 1"]
     if p >= _P_TURN:
         warnings.append(f"confidence law reaches 0 at p = {_P_TURN:.1f}% and turns back up above it")
     a, b = _CONFIDENCE_LAW

@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .constants import AMU
-from .detect import fit_prediction
+from .detect import fit_in_range, fit_prediction
 from .errors import ConfigError, DomainError
 from .materials import MaterialSpec, get_material, omega_sn
 from .response import (
@@ -37,7 +37,7 @@ from .response import (
     gamma_squared,
     gamma_squared_approx,
 )
-from .spectra import SpectrumParams, beta_limit, dip_depth, post_feature, pre_feature
+from .spectra import SpectrumParams, beta_limit, dip_depth, dip_width, post_feature, pre_feature
 
 HOUR = 3600.0
 DAY = 86400.0
@@ -162,10 +162,6 @@ class FeasibilityReport:
         if self.beta_used <= 0:
             raise DomainError("beta_used must be > 0")
 
-    @property
-    def all_valid(self) -> bool:
-        return all(self.validity_flags.values())
-
 
 def anchored_law(name: str, config: ExperimentConfig) -> float:
     """Evaluate the law ANCHORED_LAWS[name] at a design."""
@@ -191,10 +187,14 @@ def anchored_law(name: str, config: ExperimentConfig) -> float:
     )
 
 
+# the rule of thumb's optimal dip strength is this over gamma_sq
+_RULE_OF_THUMB = 0.31
+
+
 class BetaOpt(NamedTuple):
     value: float
     band: tuple  # (low, high): strengths achieving within ~12% of the optimum
-    in_regime: bool  # the rule of thumb was established for gamma_sq < 0.1
+    in_regime: bool  # gamma_sq lies where the rule of thumb was established
 
 
 def post_beta_opt(gamma_sq: float) -> BetaOpt:
@@ -207,7 +207,7 @@ def post_beta_opt(gamma_sq: float) -> BetaOpt:
     if gamma_sq <= 0:
         raise DomainError(f"gamma_sq must be > 0, got {gamma_sq}")
     return BetaOpt(
-        value=0.31 / gamma_sq,
+        value=_RULE_OF_THUMB / gamma_sq,
         band=(0.1 / gamma_sq, 0.7 / gamma_sq),
         in_regime=gamma_sq < 0.1,
     )
@@ -219,7 +219,7 @@ class BetaSweep(NamedTuple):
     depth_at_opt: float
     betas: np.ndarray
     taus: np.ndarray  # s
-    law_ratio: float  # beta_opt * gamma_sq / 0.31
+    law_ratio: float  # beta_opt * gamma_sq / _RULE_OF_THUMB
     warnings: tuple = ()  # those of the fit at beta_opt
 
 
@@ -239,7 +239,7 @@ def optimize_beta(gamma_sq: float, gamma_m: float, p: float = 10.0, n_grid: int 
     """Numeric sweep of the measurement strength for the dip signature.
 
     Each strength is scored by the fit-based measurement time of a dip of
-    depth dip_depth(beta, gamma_sq) and width (beta + 1) gamma_m. Four
+    depth dip_depth(beta, gamma_sq) and width dip_width(beta, gamma_m). Four
     decades around 1/gamma_sq are scanned on a log grid; the returned
     law_ratio says how far the numeric argmin sits from the 0.31/gamma_sq
     rule of thumb (1.0 means exactly on it), and warnings are those of the
@@ -249,11 +249,9 @@ def optimize_beta(gamma_sq: float, gamma_m: float, p: float = 10.0, n_grid: int 
         raise DomainError("gamma_sq and gamma_m must be > 0")
     check_sweep(p, n_grid)
     betas = np.geomspace(1e-2 / gamma_sq, 1e2 / gamma_sq, n_grid)
-    taus = np.empty(n_grid)
-    depths = np.empty(n_grid)
-    for i, b in enumerate(betas):
-        depths[i] = dip_depth(b, gamma_sq)
-        taus[i] = fit_prediction("dip", depths[i], (b + 1.0) * gamma_m, p=p).seconds
+    depths = np.array([dip_depth(b, gamma_sq) for b in betas])
+    fits = [fit_prediction("dip", d, dip_width(b, gamma_m), p=p) for b, d in zip(betas, depths)]
+    taus = np.array([fit.seconds for fit in fits])
     k = int(np.argmin(taus))
     return BetaSweep(
         beta_opt=float(betas[k]),
@@ -261,8 +259,8 @@ def optimize_beta(gamma_sq: float, gamma_m: float, p: float = 10.0, n_grid: int 
         depth_at_opt=float(depths[k]),
         betas=betas,
         taus=taus,
-        law_ratio=float(betas[k] * gamma_sq / 0.31),
-        warnings=fit_prediction("dip", depths[k], (betas[k] + 1.0) * gamma_m, p=p).warnings,
+        law_ratio=float(betas[k] * gamma_sq / _RULE_OF_THUMB),
+        warnings=fits[k].warnings,
     )
 
 
@@ -302,7 +300,7 @@ def pre_report(config: ExperimentConfig, beta: float = None) -> FeasibilityRepor
     g2_approx = gamma_squared_approx(osc)
     flags = _common_flags(config, beta, feat.fwhm, recommended)
     flags["gamma_sq_regime"] = abs(g2_approx / g2_exact - 1.0) <= 0.1
-    flags["fit_range"] = height >= 10.0
+    flags["fit_range"] = fit_in_range("peak", height)
     return FeasibilityReport(
         prescription="pre",
         tau_min_scaled=tau,
@@ -324,15 +322,15 @@ def post_report(config: ExperimentConfig, beta: float = None) -> FeasibilityRepo
     """
     tau, power = (anchored_law(k, config) for k in ("post_tau_scaled", "post_input_power"))
     osc = config.osc
-    g2 = gamma_squared(osc)
+    rule = post_beta_opt(gamma_squared(osc))
     if beta is None:
-        beta = post_beta_opt(g2).value
+        beta = rule.value
     if beta <= 0:
         raise DomainError(f"beta must be > 0, got {beta}")
     feat = post_feature(SpectrumParams.from_beta(osc, beta))
     flags = _common_flags(config, beta, feat.fwhm, beta_limit(osc, config.material).recommended)
-    flags["gamma_sq_regime"] = g2 < 0.1
-    flags["fit_range"] = feat.amplitude < 0.9
+    flags["gamma_sq_regime"] = rule.in_regime
+    flags["fit_range"] = fit_in_range("dip", feat.amplitude)
     return FeasibilityReport(
         prescription="post",
         tau_min_scaled=tau,

@@ -145,6 +145,7 @@ def evolve_moments(
 
     The records are the blocks of _moment_blocks joined end to end.
     """
+    dt = check_step(osc, t_final, dt, store_every)
     rows = np.concatenate([*_moment_blocks(state0, osc, t_final, dt, sn_weight, store_every)])
     return MomentTrajectory(*rows.T)
 
@@ -178,7 +179,7 @@ def _moment_blocks(
     state0: GaussianState,
     osc: OscillatorConfig,
     t_final: float,
-    dt: float | None,
+    dt: float,
     sn_weight: float,
     store_every: int,
 ):
@@ -201,10 +202,9 @@ def _moment_blocks(
     a row's angle come by angle addition from one table of in-block offsets
     j h (j < 4096) and the cos and sin at the block's start, at half the
     cost of a cos and a sin per row. Adding 0.0 to the moment columns writes
-    a zero moment as 0, never -0. Arguments are checked, by check_step, when
-    the first block is drawn.
+    a zero moment as 0, never -0. dt is the step check_step returned for
+    these arguments.
     """
-    dt = check_step(osc, t_final, dt, store_every)
     h = dt * store_every
     n_rec = int(np.ceil(t_final / dt)) // store_every + 1
     m, w, w2 = osc.mass, osc.omega_cm, 2 * osc.omega_q

@@ -53,12 +53,6 @@ class MaterialSpec:
             raise DomainError(f"debye_waller_B must be > 0, got {self.debye_waller_B}")
 
 
-@dataclass(frozen=True)
-class MaterialDerived:
-    delta_x_zp: float  # m
-    omega_sn: float  # rad/s
-
-
 def delta_x_zp(b: float) -> float:
     """Zero-point spread (m) from the Debye-Waller factor B (m^2)."""
     if b <= 0:
@@ -70,10 +64,6 @@ def omega_sn(spec: MaterialSpec) -> float:
     """Gravitational trap frequency (rad/s) for one atom of the given material."""
     dx = delta_x_zp(spec.debye_waller_B)
     return math.sqrt(G_NEWTON * spec.atomic_mass / (6.0 * math.sqrt(math.pi) * dx**3))
-
-
-def derive(spec: MaterialSpec) -> MaterialDerived:
-    return MaterialDerived(delta_x_zp=delta_x_zp(spec.debye_waller_B), omega_sn=omega_sn(spec))
 
 
 def self_energy(x, total_mass: float, atomic_mass: float, dx_zp: float):
@@ -116,9 +106,10 @@ def _spec(name, mass_amu, b_a2, rho_g_cm3, theoretical=False):
     )
 
 
-# B at 1 K in angstrom^2; density in g/cm^3. The Os entry is a theoretical
-# Debye-Waller value (no measurement at 1 K), flagged accordingly.
-_BUILTIN = (
+# The seven built-in materials, ordered by omega_sn. B at 1 K in angstrom^2;
+# density in g/cm^3. The Os entry is a theoretical Debye-Waller value (no
+# measurement at 1 K), flagged accordingly.
+BUILTIN = (
     _spec("Si", 28.0855, 0.1915, 2.33),
     _spec("Fe", 55.845, 0.12, 7.87),
     _spec("Ge", 72.630, 0.1341, 5.32),
@@ -129,14 +120,9 @@ _BUILTIN = (
 )
 
 
-def builtin_table() -> list[tuple[MaterialSpec, MaterialDerived]]:
-    """The seven built-in materials with derived quantities, ordered by omega_sn."""
-    return [(s, derive(s)) for s in _BUILTIN]
-
-
 def get_material(name: str) -> MaterialSpec:
-    for s in _BUILTIN:
+    for s in BUILTIN:
         if s.name.lower() == name.lower():
             return s
-    known = ", ".join(s.name for s in _BUILTIN)
+    known = ", ".join(s.name for s in BUILTIN)
     raise ConfigError(f"unknown material {name!r}; built in: {known}")

@@ -200,15 +200,20 @@ def dip_depth(beta: float, gamma_sq: float) -> float:
     return beta * (beta + 2.0) / (2.0 * (0.5 + beta * gamma_sq) * (beta + 1.0) ** 2)
 
 
+def dip_width(beta: float, gamma_m: float) -> float:
+    """Full width of the post dip, (beta + 1) gamma_m: the measurement broadens it."""
+    return (beta + 1.0) * gamma_m
+
+
 def post_feature(params: SpectrumParams) -> LorentzianFeature:
-    """Closed-form dip: depth dip_depth(beta, gamma_sq), width (beta + 1) gamma_m."""
+    """Closed-form dip: depth dip_depth(beta, gamma_sq), width dip_width(beta, gamma_m)."""
     b = params.beta
     return LorentzianFeature(
         kind="dip",
         prescription="post",
         center=params.omega_q,
         amplitude=dip_depth(b, params.gamma_sq),
-        fwhm=(b + 1.0) * params.osc.gamma_m,
+        fwhm=dip_width(b, params.osc.gamma_m),
         baseline=params.baseline,
         valid_narrowband=params.well_resolved,
     )
@@ -233,9 +238,17 @@ class BetaLimit(NamedTuple):
 def beta_limit(osc: OscillatorConfig, material: MaterialSpec) -> BetaLimit:
     """Largest beta before the measured spread reaches the lattice zero-point spread.
 
-    Requiring delta_x_cm <= sqrt(2) delta_x_zp gives
-    beta <= 2 delta_x_zp^2 / (hbar / 2 M omega_q); running at a tenth of that
-    keeps the rigid-lattice picture comfortably valid.
+    The spread delta_x_cm^2 = (beta + 2) / 2 * hbar / (2 M omega_q) is the
+    ground-state width hbar / (2 M omega_q) plus a back-action part
+    beta hbar / (4 M omega_q). The limit is the beta at which that part
+    reaches delta_x_zp^2,
+
+        beta = 2 delta_x_zp^2 / (hbar / 2 M omega_q),
+
+    where delta_x_cm^2 = delta_x_zp^2 + hbar / (2 M omega_q): for a
+    macroscopic pendulum the ground-state width is negligible, and
+    delta_x_cm equals delta_x_zp. Running at a tenth of that keeps the
+    rigid-lattice picture comfortably valid.
     """
     dx = delta_x_zp(material.debye_waller_B)
     lim = 2.0 * dx**2 / (HBAR / (2.0 * osc.mass * osc.omega_q))
@@ -257,7 +270,7 @@ def default_grid(params: SpectrumParams, prescription: str = "pre") -> np.ndarra
     """
     osc = params.osc
     wq = params.omega_q
-    fwhm_q = (params.beta + 1.0) * osc.gamma_m if prescription == "post" else osc.gamma_m
+    fwhm_q = dip_width(params.beta, osc.gamma_m) if prescription == "post" else osc.gamma_m
     pieces = [np.geomspace(wq * 1e-3, wq * 1e3, _GRID_BROAD)]
     for center, width in ((osc.omega_cm, osc.gamma_m), (wq, fwhm_q)):
         if center > 0 and width > 0:

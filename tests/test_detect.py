@@ -18,6 +18,7 @@ from snopto.detect import (
     TauMinResult,
     _erfcinv,
     estimator_y,
+    fit_in_range,
     fit_prediction,
     log_likelihood,
     outcome_probs,
@@ -743,6 +744,21 @@ class TestFitPrediction:
         assert fit_prediction("peak", 11.0, 1.0).warnings == ()
         assert fit_prediction("dip", 0.95, 1.0).warnings
         assert fit_prediction("dip", 0.62, 1.0).warnings == ()
+
+    @pytest.mark.parametrize("kind,amp,in_range", [
+        ("peak", math.nextafter(10.0, 0.0), False),
+        ("peak", 10.0, False),
+        ("peak", math.nextafter(10.0, math.inf), True),
+        ("dip", math.nextafter(0.9, 0.0), True),
+        ("dip", 0.9, False),
+    ])
+    def test_warns_exactly_outside_the_fit_range(self, kind, amp, in_range):
+        assert fit_in_range(kind, amp) is in_range
+        assert bool(fit_prediction(kind, amp, 1.0).warnings) is (not in_range)
+
+    def test_fit_range_refuses_other_kinds(self):
+        with pytest.raises(ConfigError):
+            fit_in_range("notch", 1.0)
 
     def test_warns_where_the_confidence_law_turns_back_up(self):
         # (2.94 - 7.38 erfcinv(p/100))^2 reaches 0 at p* = 100 erfc(2.94/7.38),

@@ -362,7 +362,7 @@ class TestReports:
         assert r.peak_height_or_dip == pytest.approx(8208.082876736855, rel=1e-9)
         assert r.beta_used == pytest.approx(1672139427.9508233, rel=1e-9)
         assert r.coherence_time == pytest.approx(159154.94309189534, rel=1e-9)
-        assert r.all_valid
+        assert all(r.validity_flags.values())
         assert set(r.validity_flags) == {
             "beta_limit", "narrowband", "peak_separation",
             "omega_hierarchy", "gamma_sq_regime", "fit_range",
@@ -376,7 +376,7 @@ class TestReports:
         assert r.peak_height_or_dip == pytest.approx(0.6172839493366242, rel=1e-9)
         assert r.beta_used == pytest.approx(21953.604542631998, rel=1e-9)
         assert r.coherence_time == pytest.approx(18123.184908983934, rel=1e-9)
-        assert r.all_valid
+        assert all(r.validity_flags.values())
 
     def test_post_coherence_identity(self):
         cfg = ExperimentConfig.reference_post()
@@ -437,6 +437,34 @@ class TestReports:
         assert soft.tau_min_scaled == base.tau_min_scaled
         assert soft.peak_height_or_dip != base.peak_height_or_dip
         assert soft.coherence_time > base.coherence_time
+
+    @pytest.mark.parametrize("height", [
+        math.nextafter(10.0, 0.0), 10.0, math.nextafter(10.0, math.inf), 8208.0,
+    ])
+    def test_pre_fit_range_is_where_the_fit_holds(self, monkeypatch, height):
+        # the flag says "in range" exactly where fit_prediction does not warn
+        law = feasibility.anchored_law
+        monkeypatch.setattr(feasibility, "anchored_law",
+                            lambda name, cfg: height if name == "pre_peak_height" else law(name, cfg))
+        r = pre_report(ExperimentConfig.reference_pre())
+        assert r.peak_height_or_dip == height
+        assert r.validity_flags["fit_range"] is (not fit_prediction("peak", height, 1.0).warnings)
+
+    @pytest.mark.parametrize("depth", [math.nextafter(0.9, 0.0), 0.9])
+    def test_post_fit_range_is_where_the_fit_holds(self, monkeypatch, depth):
+        feature = feasibility.post_feature
+        monkeypatch.setattr(feasibility, "post_feature",
+                            lambda params: replace(feature(params), amplitude=depth))
+        r = post_report(ExperimentConfig.reference_post())
+        assert r.peak_height_or_dip == depth
+        assert r.validity_flags["fit_range"] is (not fit_prediction("dip", depth, 1.0).warnings)
+
+    @pytest.mark.parametrize("scale", [0.1, 1.0, 1e3])
+    def test_post_fit_range_across_strengths(self, scale):
+        cfg = ExperimentConfig.reference_post()
+        r = post_report(cfg, beta=scale * post_report(cfg).beta_used)
+        d = r.peak_height_or_dip
+        assert r.validity_flags["fit_range"] is (not fit_prediction("dip", d, 1.0).warnings)
 
     def test_weak_peak_trips_fit_range(self):
         r = pre_report(ExperimentConfig.build(q=300.0))

@@ -46,18 +46,17 @@ def test_table_against_published(name):
 def test_table_frozen_values(name):
     _, w_frozen, dx_frozen = TABLE[name]
     spec = mat.get_material(name)
-    der = mat.derive(spec)
-    assert der.omega_sn == pytest.approx(w_frozen, rel=1e-8)
-    assert der.delta_x_zp == pytest.approx(dx_frozen, rel=1e-8)
+    assert mat.omega_sn(spec) == pytest.approx(w_frozen, rel=1e-8)
+    assert mat.delta_x_zp(spec.debye_waller_B) == pytest.approx(dx_frozen, rel=1e-8)
 
 
 def test_builtin_table_shape_and_flag():
-    table = mat.builtin_table()
+    table = mat.BUILTIN
     assert len(table) == 7
-    flags = {s.name: s.theoretical for s, _ in table}
+    flags = {s.name: s.theoretical for s in table}
     assert flags["Os"] is True
     assert sum(flags.values()) == 1
-    w = next(s for s, _ in table if s.name == "W")
+    w = next(s for s in table if s.name == "W")
     assert w.debye_waller_B == pytest.approx(0.0478e-20, rel=1e-9)
     assert w.density == pytest.approx(19250.0)
 

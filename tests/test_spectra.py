@@ -306,6 +306,9 @@ class TestBetaLimit:
         dx_zp = delta_x_zp(w.debye_waller_B)
         ratio = sp.delta_x_cm(at_limit) / dx_zp
         assert 0.9 <= ratio <= 1.1 * math.sqrt(2)
+        # the back-action part of the spread reaches the lattice spread there
+        ground = HBAR / (2 * at_limit.osc.mass * at_limit.omega_q)
+        assert sp.delta_x_cm(at_limit) ** 2 == pytest.approx(dx_zp**2 + ground, rel=1e-12)
 
     def test_peak_height_at_recommended_beta(self):
         # first-principles chain at one tenth of the limit; frozen value.

@@ -523,12 +523,14 @@ class TestDemodulationMemory:
     def test_record_owns_its_samples(self):
         # a view of the complex transform would pin 16 B per sample
         record = gen_from_psd(_carrier_psd, 3001 * 0.05, 0.05, seed=1)
+        assert record.samples.shape == (3001,)
         assert record.samples.flags.owndata
 
     def test_quadratures_own_their_samples(self):
         # views of the complex baseband would pin 16 B per sample
         record = gen_from_psd(_carrier_psd, 3001 * 0.05, 0.05, seed=1)
         c, s = quadratures(demodulate(record, DemodConfig(10.0, 2.0)))
+        assert c.samples.shape == s.samples.shape == (3001,)
         assert c.samples.flags.owndata and s.samples.flags.owndata
 
     def test_peak_bytes_per_sample(self):
