@@ -33,10 +33,11 @@ is () for outcome_probs and (truth_index,) for the duration search,
 truth 0 the flat law and 1 the alt, with no duration in the key: records
 are nested, the record of n samples being the first n samples of the
 trial's longer record, so one pass over time scores every duration up to
-its length and every duration sees the same noise. Chunks and worker
-ranges are cut at block boundaries, so results do not depend on --jobs.
-The duration search keeps one such pass at a time, as a mapping from
-each recorded length to its (flat, alt) rows of Y.
+its length and every duration sees the same noise. Chunks are whole
+blocks, and a chunk of one run is the unit of work that a worker scores,
+so results do not depend on --jobs. The duration search keeps one such
+pass at a time, as a mapping from each recorded length to its (flat,
+alt) rows of Y.
 """
 
 from __future__ import annotations
@@ -196,115 +197,114 @@ def estimator_y(series: BasebandSeries, pair: HypothesisPair, method: str = "exa
 
 
 def _y_batch(
-    truth: BasebandModel,
-    alt: BasebandModel,
-    ns: list,
-    dt: float,
-    master_seed: int,
-    spawn_prefix: tuple,
-    lo: int,
-    hi: int,
+    colour, whiten, rows: list, lndet, dt: float, master_seed: int, prefix: tuple, lo: int, hi: int
 ) -> np.ndarray:
-    """Y at every record length in ns (ascending) for trials lo..hi-1.
+    """Y at the recorded rows (ascending) for trials lo..hi-1 of one run: one chunk.
 
-    Returns a (len(ns), hi - lo) block from one pass over time. Trial i
-    takes max(ns) standard normals from its column of the seed-contract
-    stream. The factor is causal and the first n gains of a longer factor
-    are the length-n factor, so the record of n samples is the first n
-    samples of the long one. Sample k adds half of (2 log m_k + log dt) +
-    u_k^2 - dt x_k^2 to Y: the log-determinant difference and the two
-    quadratic forms. A running sum along time then gives Y at every
-    prefix; it adds the samples of each trial in time order, so no value
-    depends on how many trials share a chunk or a worker.
+    Returns a (len(rows), hi - lo) block from one pass over time; row j
+    is Y of the record of rows[j] + 1 samples. Trial i takes rows[-1] + 1
+    standard normals from its column of the seed-contract stream. The
+    factors are causal and the first n gains of a longer factor are the
+    length-n factor, so the record of n samples is the first n samples of
+    the long one. Sample k adds half of (2 log m_k + log dt) + u_k^2 -
+    dt x_k^2 to Y: the log-determinant difference and the two quadratic
+    forms. lndet holds the sums of the first term up to each recorded
+    row. A running sum along time gives Y at every prefix; it adds the
+    samples of each trial in time order, so no value depends on how many
+    trials share a chunk.
 
-    Each chunk of _CHUNK_TRIALS trials advances through time in the tiles
-    of synth._tiles, C-contiguous (rows, trials) arrays: each tile is
-    drawn, coloured with the truth's factor and whitened with the alt's
-    into buffers that belong to the chunk, with the last rows of z, x and
-    u carried across the tile edge. The running sum is np.add.reduce over
-    axis 0 of the tile's rows, the sum so far added into the first: over
-    two or more C-contiguous columns it adds the rows in order, column by
-    column, the order of a row-by-row sum. Over a single column it would
-    sum pairwise, so a one-trial chunk reduces its column beside a column
-    of zeros. A recorded row reads the same reduce cut at that row. When
-    the truth is the alt law the whitened vector is the draw itself, so
-    only colouring runs; a flat truth is white noise, z / sqrt(dt) as
-    synth draws it, so only whitening runs. Besides the result, only the
-    factors' one-dimensional arrays grow with the record length.
+    The chunk advances through time in the tiles of synth._tiles,
+    C-contiguous (rows, trials) arrays: each tile is drawn, coloured with
+    the truth's factor `colour` and whitened with the alt's factor
+    `whiten` into buffers that belong to the chunk, with the last rows of
+    z, x and u carried across the tile edge. A flat truth has no colour
+    factor: its record is white noise, z / sqrt(dt) as synth draws it. A
+    truth that is the alt law has no whiten factor: the whitened vector is
+    the draw itself. The running sum is np.add.reduce over axis 0 of the
+    tile's rows, the sum so far added into the first: over two or more
+    C-contiguous columns it adds the rows in order, column by column, the
+    order of a row-by-row sum. Over a single column it would sum
+    pairwise, so a one-trial chunk reduces its column beside a column of
+    zeros. A recorded row reads the same reduce cut at that row. Besides
+    the result, only the factors' one-dimensional arrays grow with the
+    record length.
     """
-    n = ns[-1]
-    rows = [m - 1 for m in ns]
-    f_alt = covariance_factor(alt, n, dt)
-    # a flat truth's factor goes unused; diagonal, it stops after one step
-    f_truth = f_alt if truth == alt else covariance_factor(truth, n, dt)
-    lndet = np.cumsum(2.0 * np.log(f_alt.m) + math.log(dt))[rows]
-
-    out = np.empty((len(ns), hi - lo))
+    n = rows[-1] + 1
+    width = hi - lo
+    out = np.empty((len(rows), width))
     sqrt_dt = math.sqrt(dt)
-    for start in range(lo, hi, _CHUNK_TRIALS):
-        stop = min(start + _CHUNK_TRIALS, hi)
-        width = stop - start
-        j = 0  # next row of ns to record
-        carry_x = carry_u = None  # rows carried from the previous tile
-        for k, z in _tiles(master_seed, spawn_prefix, n, start, stop):
-            r = z.shape[0]
-            if not k:  # the chunk's buffers, as long as its first, longest tile
-                xs, us = np.zeros((2, r, max(width, 2)))
-                y = np.zeros(max(width, 2))
-            x, u = xs[:r, :width], us[:r, :width]
-            if truth.kind == "flat":
-                np.divide(z, sqrt_dt, out=x)
-            else:
-                f_truth.colour(z, k, carry_x, out=x)
-                carry_x = z[-1].copy(), x[-1].copy()
-            if f_truth is f_alt:
-                np.multiply(z, z, out=u)
-            else:
-                f_alt.whiten(x, k, carry_u, out=u)
-                carry_u = x[-1].copy(), u[-1].copy()
-                u *= u
-            x *= x
-            x *= dt
-            u -= x
-            # the sum so far enters the tile's first row, and a recorded
-            # row reads the sum up to it
-            us[0] += y
-            while j < len(ns) and rows[j] < k + r:
-                np.add.reduce(us[: rows[j] - k + 1], axis=0, out=y)
-                out[j, start - lo : stop - lo] = y[:width]
-                j += 1
-            np.add.reduce(us[:r], axis=0, out=y)
+    j = 0  # next recorded row
+    carry_x = carry_u = None  # rows carried from the previous tile
+    for k, z in _tiles(master_seed, prefix, n, lo, hi):
+        r = z.shape[0]
+        if not k:  # the chunk's buffers, as long as its first, longest tile
+            xs, us = np.zeros((2, r, max(width, 2)))
+            y = np.zeros(max(width, 2))
+        x, u = xs[:r, :width], us[:r, :width]
+        if colour is None:
+            np.divide(z, sqrt_dt, out=x)
+        else:
+            colour.colour(z, k, carry_x, out=x)
+            carry_x = z[-1].copy(), x[-1].copy()
+        if whiten is None:
+            np.multiply(z, z, out=u)
+        else:
+            whiten.whiten(x, k, carry_u, out=u)
+            carry_u = x[-1].copy(), u[-1].copy()
+            u *= u
+        x *= x
+        x *= dt
+        u -= x
+        # the sum so far enters the tile's first row, and a recorded
+        # row reads the sum up to it
+        us[0] += y
+        while j < len(rows) and rows[j] < k + r:
+            np.add.reduce(us[: rows[j] - k + 1], axis=0, out=y)
+            out[j] = y[:width]
+            j += 1
+        np.add.reduce(us[:r], axis=0, out=y)
     out += lndet[:, None]
     out *= 0.5
     return out
 
 
 def _y_table(
-    truth: BasebandModel,
-    alt: BasebandModel,
-    ns: list,
-    dt: float,
-    n_trials: int,
-    master_seed: int,
-    spawn_prefix: tuple,
-    jobs: int,
+    alt: BasebandModel, runs: tuple, ns: list, dt: float, n_trials: int, master_seed: int, jobs: int
 ) -> np.ndarray:
-    """_y_batch over trials 0..n_trials-1, split into `jobs` worker ranges.
+    """Y for trials 0..n_trials-1 of each run at every length in ns (ascending).
 
-    Ranges are cut at block boundaries, so no block's stream is drawn by
-    two workers.
+    A run is a (truth, spawn prefix) pair; the result is a (len(runs),
+    len(ns), n_trials) table. The factor of each featured law and the
+    alt's log-det prefix are built once per pass. Each run's trials are
+    cut into chunks of _CHUNK_TRIALS, whole blocks, and each (run, chunk)
+    task is one _y_batch call: all are scored in turn, or over one process
+    pool when jobs > 1 and there are at least two chunks' worth of trials.
     """
-    args = (truth, alt, ns, dt, master_seed, spawn_prefix)
-    if jobs <= 1 or n_trials < 2 * _CHUNK_TRIALS:
-        return _y_batch(*args, 0, n_trials)
-    n_blocks = -(-n_trials // TRIAL_BLOCK)
-    bounds = np.minimum(np.linspace(0, n_blocks, jobs + 1).astype(int) * TRIAL_BLOCK, n_trials)
-    ranges = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    from concurrent.futures import ProcessPoolExecutor  # only parallel runs pay its import
+    rows = [m - 1 for m in ns]
+    laws = dict.fromkeys(m for m in (alt, *(truth for truth, _ in runs)) if m.kind != "flat")
+    factors = {m: covariance_factor(m, ns[-1], dt) for m in laws}
+    lndet = np.cumsum(2.0 * np.log(factors[alt].m) + math.log(dt))[rows]
+    slots, tasks = [], []
+    for r, (truth, prefix) in enumerate(runs):
+        colour, whiten = factors.get(truth), None if truth == alt else factors[alt]
+        for lo in range(0, n_trials, _CHUNK_TRIALS):
+            hi = min(lo + _CHUNK_TRIALS, n_trials)
+            slots.append((r, lo, hi))
+            tasks.append((colour, whiten, rows, lndet, dt, master_seed, prefix, lo, hi))
+    table = np.empty((len(runs), len(ns), n_trials))
 
-    with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
-        futs = [pool.submit(_y_batch, *args, a, b) for a, b in ranges]
-        return np.concatenate([f.result() for f in futs], axis=1)
+    def fill(ys):  # each chunk's rows go into the table as they arrive
+        for r, lo, hi in slots:
+            table[r, :, lo:hi] = next(ys)
+
+    if jobs == 1 or n_trials < 2 * _CHUNK_TRIALS:
+        fill(map(_y_batch, *zip(*tasks)))
+    else:
+        from concurrent.futures import ProcessPoolExecutor  # only parallel runs pay its import
+
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+            fill(pool.map(_y_batch, *zip(*tasks)))
+    return table
 
 
 def check_run(n_trials: int, jobs: int) -> None:
@@ -351,18 +351,16 @@ def y_ensemble(
         _check_seed(master_seed)
         return np.zeros(n_trials)
     _check_resolution(pair.alt_model, dt)
-    return _y_table(truth, pair.alt_model, [n], dt, n_trials, master_seed, (), jobs)[0]
+    return _y_table(pair.alt_model, ((truth, ()),), [n], dt, n_trials, master_seed, jobs)[0, 0]
 
 
 def _nested_rows(
     pair: HypothesisPair, ns, dt: float, n_trials: int, master_seed: int, jobs: int
 ) -> dict:
-    """{n: (flat Y, alt Y)} for every n in ns: views of one nested pass per truth."""
+    """{n: (flat Y, alt Y)} for every n in ns: views of one nested pass over both truths."""
     ns = sorted(set(ns))
-    flat, alt = (
-        _y_table(t, pair.alt_model, ns, dt, n_trials, master_seed, (j,), jobs)
-        for j, t in enumerate((pair.null_model, pair.alt_model))
-    )
+    runs = ((pair.null_model, (0,)), (pair.alt_model, (1,)))
+    flat, alt = _y_table(pair.alt_model, runs, ns, dt, n_trials, master_seed, jobs)
     return {n: (flat[k], alt[k]) for k, n in enumerate(ns)}
 
 

@@ -46,7 +46,7 @@ class GaussianState:
     var_pp: float  # kg^2 m^2/s^2
 
     def __post_init__(self):
-        if self.var_xx <= 0 or self.var_pp <= 0:
+        if not (self.var_xx > 0 and self.var_pp > 0):
             raise DomainError("variances must be > 0")
         het = self.var_xx * self.var_pp - self.cov_xp**2
         if het < (HBAR / 2) ** 2 * (1 - 1e-9):

@@ -47,9 +47,9 @@ class MaterialSpec:
     theoretical: bool = False
 
     def __post_init__(self):
-        if self.atomic_mass <= 0:
+        if not self.atomic_mass > 0:
             raise DomainError(f"atomic_mass must be > 0, got {self.atomic_mass}")
-        if self.debye_waller_B <= 0:
+        if not self.debye_waller_B > 0:
             raise DomainError(f"debye_waller_B must be > 0, got {self.debye_waller_B}")
 
 

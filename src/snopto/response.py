@@ -45,23 +45,23 @@ class OscillatorConfig:
     t0: float = 0.0  # K
 
     def __post_init__(self):
-        if self.mass <= 0:
+        if not self.mass > 0:
             raise DomainError(f"mass must be > 0, got {self.mass}")
-        if self.omega_cm < 0 or self.omega_sn < 0 or self.t0 < 0:
+        if not (self.omega_cm >= 0 and self.omega_sn >= 0 and self.t0 >= 0):
             raise DomainError("omega_cm, omega_sn and t0 must be >= 0")
         if self.gamma_m is None and self.q is None:
             object.__setattr__(self, "gamma_m", 0.0)
         elif self.gamma_m is None:
-            if self.q <= 0:
+            if not self.q > 0:
                 raise DomainError(f"q must be > 0, got {self.q}")
             object.__setattr__(self, "gamma_m", self.omega_cm / self.q)
         elif self.q is not None:
             expect = self.omega_cm / self.q
-            if abs(self.gamma_m - expect) > 1e-9 * max(self.gamma_m, expect):
+            if not abs(self.gamma_m - expect) <= 1e-9 * max(self.gamma_m, expect):
                 raise ConfigError(
                     f"gamma_m = {self.gamma_m} inconsistent with omega_cm/q = {expect}"
                 )
-        if self.gamma_m < 0:
+        if not self.gamma_m >= 0:
             raise DomainError(f"gamma_m must be >= 0, got {self.gamma_m}")
 
     @property
@@ -80,9 +80,9 @@ class OpticalConfig:
     def __post_init__(self):
         if not 0 < self.transmissivity <= 1:
             raise DomainError(f"transmissivity must be in (0, 1], got {self.transmissivity}")
-        if self.i_in < 0:
+        if not self.i_in >= 0:
             raise DomainError(f"i_in must be >= 0, got {self.i_in}")
-        if self.omega_c <= 0:
+        if not self.omega_c > 0:
             raise DomainError(f"omega_c must be > 0, got {self.omega_c}")
 
 

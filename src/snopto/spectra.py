@@ -58,7 +58,7 @@ class SpectrumParams:
     alpha_sq: float
 
     def __post_init__(self):
-        if self.alpha_sq < 0:
+        if not self.alpha_sq >= 0:
             raise DomainError(f"alpha_sq must be >= 0, got {self.alpha_sq}")
 
     @classmethod
@@ -108,11 +108,11 @@ class LorentzianFeature:
     valid_narrowband: bool
 
     def __post_init__(self):
-        if self.amplitude < 0:
+        if not self.amplitude >= 0:
             raise DomainError("feature amplitude must be >= 0")
         if self.kind == "dip" and self.amplitude >= 1:
             raise DomainError("dip depth must be < 1")
-        if self.fwhm <= 0:
+        if not self.fwhm > 0:
             raise DomainError("fwhm must be > 0")
 
 

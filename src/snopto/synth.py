@@ -93,10 +93,10 @@ class BasebandModel:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if self.amplitude < 0:
+        if not self.amplitude >= 0:
             raise DomainError(f"amplitude must be >= 0, got {self.amplitude}")
         if self.kind != "flat":
-            if self.fwhm_gamma <= 0:
+            if not self.fwhm_gamma > 0:
                 raise ConfigError("peak/dip models need fwhm_gamma > 0")
             if self.kind == "dip" and self.amplitude >= 1:
                 raise DomainError(
@@ -136,7 +136,7 @@ class BasebandSeries:
 
     def __post_init__(self):
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=float))
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise ConfigError(f"dt must be > 0, got {self.dt}")
         if self.samples.ndim != 1 or self.samples.size < 2:
             raise DomainError("a series needs at least 2 samples")

@@ -1,5 +1,6 @@
 """Likelihoods against dense oracles, verdict rates against frozen targets."""
 
+import concurrent.futures
 import math
 import tracemalloc
 
@@ -380,21 +381,61 @@ class TestEngine:
         # one-row tiles, tiles whose edges miss every tile edge of the
         # default, and one tile longer than the record
         dt, truths = 0.14, (FLAT, DIP, PEAK)
-        tables = [detect._y_table(t, DIP, _FROZEN_NS, dt, 300, 5, (1,), 1) for t in truths]
+        tables = [detect._y_table(DIP, ((t, (1,)),), _FROZEN_NS, dt, 300, 5, 1)[0] for t in truths]
         z = normals(5, (1,), 300, 100, 300)
         monkeypatch.setattr(synth, "_TILE_ROWS", rows)
         for truth, table in zip(truths, tables):
-            assert np.array_equal(detect._y_table(truth, DIP, _FROZEN_NS, dt, 300, 5, (1,), 1), table)
+            assert np.array_equal(detect._y_table(DIP, ((truth, (1,)),), _FROZEN_NS, dt, 300, 5, 1)[0], table)
         assert np.array_equal(normals(5, (1,), 300, 100, 300), z)
 
     def test_nested_pass_independent_of_jobs(self):
         # a nested pass split across two workers, cut at a block boundary
         dt, ns = 0.14, [3, 20, 64]
-        one = detect._y_table(PEAK, DIP, ns, dt, 4099, 8, (0,), 1)
-        two = detect._y_table(PEAK, DIP, ns, dt, 4099, 8, (0,), 2)
+        one = detect._y_table(DIP, ((PEAK, (0,)),), ns, dt, 4099, 8, 1)[0]
+        two = detect._y_table(DIP, ((PEAK, (0,)),), ns, dt, 4099, 8, 2)[0]
         assert np.array_equal(one, two)
-        short = detect._y_table(PEAK, DIP, [20], dt, 300, 8, (0,), 1)[0]
+        short = detect._y_table(DIP, ((PEAK, (0,)),), [20], dt, 300, 8, 1)[0, 0]
         assert np.array_equal(one[1, :300], short)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("pass_, laws", [
+        (lambda jobs: detect._nested_rows(PAIR_DIP, [3, 20], 0.14, 4099, 8, jobs), [DIP]),
+        (lambda jobs: detect._nested_rows(PAIR_PEAK, [20], 0.14, 4099, 8, jobs), [PEAK]),
+        (lambda jobs: y_ensemble(FLAT, PAIR_DIP, 20 * 0.14, 0.14, 4099, 8, jobs), [DIP]),
+        (lambda jobs: y_ensemble(PEAK, PAIR_DIP, 20 * 0.14, 0.14, 4099, 8, jobs), [DIP, PEAK]),
+    ], ids=["nested-dip", "nested-peak", "flat-under-dip", "peak-under-dip"])
+    def test_one_factor_per_featured_law(self, monkeypatch, jobs, pass_, laws):
+        # a pass factors each featured law once, in the process that
+        # dispatches its tasks, and never the flat law
+        built = []
+
+        def counting(model, n, dt):
+            built.append(model)
+            return synth.covariance_factor(model, n, dt)
+
+        monkeypatch.setattr(detect, "covariance_factor", counting)
+        pass_(jobs)
+        assert built == laws
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_nested_pass_is_one_task_set(self, monkeypatch, jobs):
+        # 4099 trials make three chunks per truth, the last a partial block:
+        # the tasks of both truths share one pool, and the rows do not
+        # depend on how many workers score them
+        pools = []
+
+        class Counting(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        ns = [3, 20, 64]
+        one = detect._nested_rows(PAIR_DIP, ns, 0.14, 4099, 8, 1)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counting)
+        many = detect._nested_rows(PAIR_DIP, ns, 0.14, 4099, 8, jobs)
+        assert len(pools) == 1
+        for n in ns:
+            assert all(np.array_equal(a, b) for a, b in zip(one[n], many[n]))
 
     @pytest.mark.parametrize("truth,pair", [(FLAT, PAIR_DIP), (DIP, PAIR_DIP), (PEAK, PAIR_DIP),
                                             (DIP, PAIR_PEAK)])
@@ -402,19 +443,23 @@ class TestEngine:
         # one pass to 300 samples scores every prefix as its own record,
         # bit for bit
         dt, ns = 0.14, [2, 3, 50, 299, 300]
-        table = detect._y_table(truth, pair.alt_model, ns, dt, 37, 4, (1,), 1)
+        table = detect._y_table(pair.alt_model, ((truth, (1,)),), ns, dt, 37, 4, 1)[0]
         assert table.shape == (len(ns), 37)
         for row, n in zip(table, ns):
-            short = detect._y_table(truth, pair.alt_model, [n], dt, 37, 4, (1,), 1)[0]
+            short = detect._y_table(pair.alt_model, ((truth, (1,)),), [n], dt, 37, 4, 1)[0, 0]
             assert np.array_equal(row, short)
 
     @pytest.mark.parametrize("name,truth", [("flat", FLAT), ("dip", DIP), ("peak-under-dip", PEAK)])
     def test_y_frozen_bit_for_bit(self, name, truth):
-        table = detect._y_table(truth, DIP, _FROZEN_NS, 0.14, 300, 5, (1,), 1)
+        table = detect._y_table(DIP, ((truth, (1,)),), _FROZEN_NS, 0.14, 300, 5, 1)[0]
         got = [(row[0].hex(), row[-1].hex(), math.fsum(row).hex()) for row in table]
         assert got == _FROZEN_Y[name]
-        # a batch that starts inside a block reads the same columns
-        batch = detect._y_batch(truth, DIP, _FROZEN_NS, 0.14, 5, (1,), 100, 300)
+        # a chunk that starts inside a block reads the same columns
+        f_dip = synth.covariance_factor(DIP, 300, 0.14)
+        colour = None if truth == FLAT else synth.covariance_factor(truth, 300, 0.14)
+        rows = [n - 1 for n in _FROZEN_NS]
+        lndet = np.cumsum(2.0 * np.log(f_dip.m) + math.log(0.14))[rows]
+        batch = detect._y_batch(colour, None if truth == DIP else f_dip, rows, lndet, 0.14, 5, (1,), 100, 300)
         assert np.array_equal(batch, table[:, 100:])
 
     # the same pin for records past the dip factor's fixed point (k = 327):
@@ -433,7 +478,7 @@ class TestEngine:
 
     @pytest.mark.parametrize("name,truth", [("flat", FLAT), ("dip", DIP)])
     def test_long_records_frozen_bit_for_bit(self, name, truth):
-        table = detect._y_table(truth, DIP, [1429, 6006], 0.14, 300, 5, (1,), 1)
+        table = detect._y_table(DIP, ((truth, (1,)),), [1429, 6006], 0.14, 300, 5, 1)[0]
         got = [(row[0].hex(), row[-1].hex(), math.fsum(row).hex()) for row in table]
         assert got == self.FROZEN_LONG[name]
 
@@ -469,7 +514,7 @@ class TestEngine:
         dt = 0.14
         meds = []
         for n in (179, 357, 714, 1429, 2857):
-            ya = detect._y_table(DIP, DIP, [n], dt, 1000, 30, (n,), 1)[0]
+            ya = detect._y_table(DIP, ((DIP, (n,)),), [n], dt, 1000, 30, 1)[0, 0]
             meds.append(np.median(np.abs(ya)))
         assert all(b >= a for a, b in zip(meds, meds[1:]))
 

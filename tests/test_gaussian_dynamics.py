@@ -67,6 +67,10 @@ class TestState:
         with pytest.raises(DomainError):
             GaussianState(0, 0, -1e-30, 0.0, 1e-40)
 
+    def test_squeeze_refuses_nan(self):
+        with pytest.raises(DomainError, match="variances must be > 0"):
+            GaussianState.ground(GENERIC).squeezed(float("nan"))
+
     def test_squeeze_rejects_tilted_state(self):
         g = GaussianState.ground(GENERIC)
         tilted = GaussianState(0, 0, g.var_xx * 2, g.var_xx * 0.1 * 0.2 * 0.36, g.var_pp * 2)

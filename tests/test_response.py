@@ -7,9 +7,52 @@ from hypothesis import given, strategies as st
 from snopto.constants import HBAR, K_B
 from snopto.errors import ConfigError, DomainError
 from snopto import response as rsp
-from snopto.spectra import SpectrumParams
+from snopto.gaussian_dynamics import GaussianState
+from snopto.materials import MaterialSpec
+from snopto.spectra import LorentzianFeature, SpectrumParams
+from snopto.synth import BasebandModel, BasebandSeries
 
 from conftest import osmium_osc, reference_optics
+
+
+def _osc(**kw):
+    return rsp.OscillatorConfig(**{"mass": 1.0, "omega_cm": 1.0, "omega_sn": 1.0, **kw})
+
+
+def _feature(fwhm):
+    return LorentzianFeature("peak", "pre", 1.0, 1.0, fwhm, 1.0, True)
+
+
+# every range check of a record, by the value it checks: a negative value
+# and NaN are refused alike, with the same error type
+_RANGE_CHECKS = {
+    "mass": (lambda v: _osc(mass=v), DomainError),
+    "omega_cm": (lambda v: _osc(omega_cm=v), DomainError),
+    "omega_sn": (lambda v: _osc(omega_sn=v), DomainError),
+    "t0": (lambda v: _osc(t0=v), DomainError),
+    "q": (lambda v: _osc(q=v), DomainError),
+    "gamma_m": (lambda v: _osc(gamma_m=v), DomainError),
+    "i_in": (lambda v: rsp.OpticalConfig(i_in=v, transmissivity=0.5, omega_c=1.0), DomainError),
+    "omega_c": (lambda v: rsp.OpticalConfig(i_in=1.0, transmissivity=0.5, omega_c=v), DomainError),
+    "atomic_mass": (lambda v: MaterialSpec("x", atomic_mass=v, debye_waller_B=1.0, density=1.0), DomainError),
+    "debye_waller_B": (lambda v: MaterialSpec("x", atomic_mass=1.0, debye_waller_B=v, density=1.0),
+                       DomainError),
+    "alpha_sq": (lambda v: SpectrumParams(_osc(), alpha_sq=v), DomainError),
+    "amplitude": (lambda v: BasebandModel("peak", amplitude=v, fwhm_gamma=1.0), DomainError),
+    "fwhm_gamma": (lambda v: BasebandModel("peak", amplitude=1.0, fwhm_gamma=v), ConfigError),
+    "dt": (lambda v: BasebandSeries(dt=v, samples=[0.0, 0.0], seed=0, model_tag=""), ConfigError),
+    "var_xx": (lambda v: GaussianState(0.0, 0.0, v, 0.0, 1.0), DomainError),
+    "fwhm": (lambda v: _feature(v), DomainError),
+}
+
+
+@pytest.mark.parametrize("value", [-1.0, math.nan])
+@pytest.mark.parametrize("field", list(_RANGE_CHECKS))
+def test_range_checks_refuse_nan(field, value):
+    build, error = _RANGE_CHECKS[field]
+    build(1.0)  # the in-range value builds
+    with pytest.raises(error):
+        build(value)
 
 
 class TestOscillatorConfig:
