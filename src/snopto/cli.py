@@ -237,9 +237,6 @@ def _emit_json(path: Path, command: str, conf: dict, result) -> None:
     print(path)
 
 
-_CSV_BLOCK_VALUES = 4096  # values per numpy formatting pass; bounds the memory held at once
-
-
 def _emit_csv(path: Path, command: str, conf: dict, names, blocks) -> None:
     """Header lines of conf, the column names, then the rows at %.17g; prints path.
 
@@ -247,24 +244,20 @@ def _emit_csv(path: Path, command: str, conf: dict, names, blocks) -> None:
     each comes, so a generator of blocks is held one block at a time.
 
     The rows are the bytes np.savetxt(path, data, fmt="%.17g", header=...)
-    writes, formatted in numpy by a csvtext.G17Rows; its module docstring
-    states why every byte is exact. The one G17Rows made here formats
-    every part of the file in scratch it owns, so no part allocates, frees
-    and faults in again its own megabyte of numpy temporaries.
+    writes, formatted in numpy by csvtext.write_rows; its module docstring
+    states why every byte is exact and how the memory a file holds at
+    once is bounded.
     """
     # imported here, not with cli: where no bytecode is cached, compiling it
     # at start-up cost every command 2 ms and 0.6 MB of peak memory
-    from .csvtext import G17Rows
+    from .csvtext import write_rows
 
     lines = [f"command = {command}", f"version = {__version__}"]
     lines += [f"{k} = {v!r}" if isinstance(v, float) else f"{k} = {v}" for k, v in conf.items()]
     lines.append(", ".join(names))
-    rows_g17 = G17Rows()
     with open(path, "wb") as fh:
         fh.write(("# " + "\n# ".join(lines) + "\n").encode())
-        for block in blocks:
-            for part in np.array_split(block, max(1, -(-block.size // _CSV_BLOCK_VALUES))):
-                fh.write(rows_g17(part))
+        write_rows(fh, blocks)
     print(path)
 
 

@@ -1,19 +1,19 @@
 """Rows of floats as the text "%.17g" gives them, formatted in numpy.
 
-A G17Rows returns, byte for byte, what Python's "%.17g" writes for every
-value of a block, space separated, one line per row: the text
+write_rows writes, byte for byte, what Python's "%.17g" writes for every
+value of a file's blocks, space separated, one line per row: the text
 np.savetxt(..., fmt="%.17g") writes. The module is imported at the first
 CSV write, so commands that write no CSV never compile it.
 
-The caller creates one G17Rows per file and passes every part of the file
-through it. The object owns the scratch of every numpy step, about 280
-bytes per value, and each step writes into it with out=; a part
-allocates only its text, 1024 values at a time. Allocated and freed anew
-for each 4096-value part, the scratch was about 1 MB of temporaries, and
-glibc handed such blocks back to the kernel at every free, to be faulted
-in again by the next part: one 580k-row dynamics record took 115k-146k
-minor page faults, and under 500 with the scratch owned and the text
-sliced.
+write_rows cuts each block into parts of at most _PART values plus one
+row and formats every part of the file in scratch it allocates once,
+about 280 bytes per value, each numpy step writing into it with out=; a
+part allocates only its text, 1024 values at a time. Allocated and freed
+anew for each 4096-value part, the scratch was about 1 MB of
+temporaries, and glibc handed such blocks back to the kernel at every
+free, to be faulted in again by the next part: one 580k-row dynamics
+record took 115k-146k minor page faults, and under 500 with the scratch
+allocated once and the text sliced.
 
 Every value goes through one vector pass; then one boolean mask, vec,
 sends it down exactly one of two routes.
@@ -98,7 +98,7 @@ def _mask(layout: int, ndigits: int, negative: bool) -> list:
 
 @functools.cache
 def _tables():
-    """Lookup tables of G17Rows, built at the first call and never written."""
+    """Lookup tables of _rows, built at the first call and never written."""
     # 10^k = hi + lo: Python int true division rounds correctly, and the
     # residual is exact as a ratio of ints before its own rounding
     hi, lo = [], []
@@ -137,118 +137,116 @@ def _tables():
     return tables
 
 
-# G17Rows' scratch, per value: eight floats, eight int64, four int8, four
+# The scratch of _rows, per value: eight floats, eight int64, four int8, four
 # bools, and six index, six word and six mask words
 _SCRATCH = ((8, np.float64), (8, np.int64), (4, np.int8), (4, np.bool_),
             (6, np.int64), (6, _U64LE), (6, _U64LE))
+_PART = 4096  # values per formatting pass, plus up to one row; bounds the memory held at once
 _SLICE = 1024  # values per tobytes and translate: 48 KB of layout
 
 
-class G17Rows:
-    """Blocks of floats as the bytes of "%.17g", formatted in scratch this object owns.
+def write_rows(fh, blocks) -> None:
+    """Write each (rows, cols) block to fh as "%.17g" rows; every block has the same cols.
 
-    Call it on each part of a file in turn. Every numpy step writes into
-    buffers sized to the largest part formatted so far, so a file of many
-    equal parts allocates them once; only the text returned is new.
+    The scratch is allocated once, for _PART values plus one row, the most
+    a part of np.array_split holds; only the text of a part is new.
     """
-
-    def __init__(self):
-        self._size = 0
-        self._buffers = [np.empty(0, dtype) for _, dtype in _SCRATCH]
-
-    def _scratch(self, n):
-        """Contiguous (width, n) views into the buffers, grown first if they are shorter."""
-        if n > self._size:
-            self._buffers = [np.empty(width * n, dtype) for width, dtype in _SCRATCH]
-            self._size = n
-        return [buf[:width * n].reshape(width, n) for buf, (width, _) in zip(self._buffers, _SCRATCH)]
-
-    def __call__(self, block) -> bytes:
-        """The bytes of a (rows, cols) block at "%.17g", space separated, one line per row."""
-        scale, words, trailing, keys, masks = _tables()
+    buffers = None
+    for block in blocks:
         x = np.asarray(block, dtype=float)
-        rows, cols = x.shape
-        x = x.reshape(-1)
-        n = x.size
-        floats, ints, tz4, bools, *layouts = self._scratch(n)
-        a, p, t, g, hi, hi_head, hi_tail, lo = floats
-        d, q, e, k, c1, c2, c3, c4 = ints
-        in_range, out, vec, b = bools
-        index, w, m = (v.reshape(n, 6) for v in layouts)
-        # one vector pass over every value, the out of range ones scaled as 1.0
-        np.abs(x, out=a)
-        np.greater_equal(a, 1e-280, out=in_range)
-        in_range &= np.less_equal(a, 1e280, out=b)
-        np.logical_not(in_range, out=out)
-        np.copyto(a, 1.0, where=out)
-        np.floor(np.log10(a, out=t), out=t)
-        np.copyto(e, t, casting="unsafe")
-        # p = fl(a 10^k) and t, the rest of a 10^k to about 1e-14, at
-        # k = 16 - e: 10^k = hi + lo, and a = head + tail by Veltkamp's split
-        np.subtract(16 - _K0, e, out=q)
-        np.take(scale, q, axis=1, out=floats[4:], mode="clip")
-        np.multiply(a, hi, out=p)
-        head, tail = hi, g
-        np.multiply(a, _SPLIT, out=head)
-        np.subtract(head, np.subtract(head, a, out=tail), out=head)
-        np.subtract(a, head, out=tail)
-        np.multiply(head, hi_head, out=t)
-        t -= p
-        t += np.multiply(head, hi_tail, out=head)
-        t += np.multiply(tail, hi_head, out=head)
-        t += np.multiply(tail, hi_tail, out=head)
-        t += np.multiply(a, lo, out=head)
-        r = np.rint(t, out=hi_head)
-        np.copyto(d, p, casting="unsafe")
-        np.copyto(q, r, casting="unsafe")
-        d += q
-        # the route mask; zeros keep the vector route, spelled as d = 0 at exponent 0
-        np.subtract(p, 1e16, out=g)
-        np.greater_equal(np.add(g, t, out=g), 0, out=vec)
-        vec &= in_range
-        vec &= np.less(d, 10**17, out=b)
-        np.subtract(0.5, np.abs(np.subtract(t, r, out=g), out=g), out=g)
-        vec &= np.greater_equal(g, _TIE, out=b)
-        vec |= np.equal(x, 0, out=b)
-        np.copyto(d, 0, where=out)
-        e += 400
-        # digit groups: d = c0 c1 c2 c3 c4, of 1, 4, 4, 4 and 4 digits; a
-        # value's six words are gathered from the word table at the six
-        # indices of its row of index (a d of 10^17, c0 = 10, goes to Python)
-        np.floor_divide(d, 10**8, out=q)
-        d -= np.multiply(q, 10**8, out=c1)
-        np.floor_divide(q, 10**8, out=k)
-        q -= np.multiply(k, 10**8, out=c1)
-        np.add(k, _LEAD, out=index[:, 0])
-        np.floor_divide(q, 10**4, out=c1)
-        np.subtract(q, np.multiply(c1, 10**4, out=c2), out=c2)
-        np.floor_divide(d, 10**4, out=c3)
-        np.subtract(d, np.multiply(c3, 10**4, out=c4), out=c4)
-        np.copyto(index[:, 1:5], ints[4:].T)
-        np.add(e, _EXP, out=index[:, 5])
-        index.reshape(rows, cols, 6)[:, -1, 5] += 800  # a newline after the last column
-        np.take(words, index, out=w, mode="clip")
-        # trailing zeros of d: c0 > 0 unless d = 0, so at most 16, and a zero
-        # keeps one digit
-        tz = np.take(trailing, ints[4:], out=tz4, mode="clip")[0]
-        for c in tz4[1:]:
-            tz *= np.equal(c, 4, out=b)
-            tz += c
-        np.take(keys, e, out=k, mode="clip")
-        k -= np.multiply(tz, 2, out=tz)
-        k += np.signbit(x, out=b)
-        w &= np.take(masks, k, axis=0, out=m, mode="clip")
-        if not vec.all():
-            # the Python route: one string format for them all, each padded to
-            # 24 characters, the most "%.17g" writes; the padding spaces become NULs
-            idx = np.flatnonzero(np.logical_not(vec, out=b))
-            text = ("%-24.17g" * idx.size % tuple(x[idx].tolist())).encode().translate(_SPACE_TO_NUL)
-            spelled = np.zeros((idx.size, 6), _U64LE)
-            spelled[:, :3] = np.frombuffer(text, _U64LE).reshape(-1, 3)
-            spelled[:, 5] = w[idx, 5] & (255 << 40)  # the separator
-            w[idx] = spelled
-        # the NULs are dropped a slice at a time, so that no allocation of a
-        # 4096-value part reaches 128 KB, where glibc maps fresh pages or
-        # hands freed ones back: translating the part's whole 197 KB layout
-        # at once cost a dynamics record 24k minor faults
-        return b"".join([w[i:i + _SLICE].tobytes().translate(None, b"\0") for i in range(0, n, _SLICE)])
+        if buffers is None:
+            size = _PART + x.shape[1]
+            buffers = [np.empty(width * size, dtype) for width, dtype in _SCRATCH]
+        for part in np.array_split(x, max(1, -(-x.size // _PART))):
+            fh.write(_rows(part, buffers))
+
+
+def _rows(x, buffers) -> bytes:
+    """The bytes of a (rows, cols) part at "%.17g", every numpy step writing into buffers."""
+    scale, words, trailing, keys, masks = _tables()
+    rows, cols = x.shape
+    x = x.reshape(-1)
+    n = x.size
+    floats, ints, tz4, bools, *layouts = [buf[:width * n].reshape(width, n)
+                                          for buf, (width, _) in zip(buffers, _SCRATCH)]
+    a, p, t, g, hi, hi_head, hi_tail, lo = floats
+    d, q, e, k, c1, c2, c3, c4 = ints
+    in_range, out, vec, b = bools
+    index, w, m = (v.reshape(n, 6) for v in layouts)
+    # one vector pass over every value, the out of range ones scaled as 1.0
+    np.abs(x, out=a)
+    np.greater_equal(a, 1e-280, out=in_range)
+    in_range &= np.less_equal(a, 1e280, out=b)
+    np.logical_not(in_range, out=out)
+    np.copyto(a, 1.0, where=out)
+    np.floor(np.log10(a, out=t), out=t)
+    np.copyto(e, t, casting="unsafe")
+    # p = fl(a 10^k) and t, the rest of a 10^k to about 1e-14, at
+    # k = 16 - e: 10^k = hi + lo, and a = head + tail by Veltkamp's split
+    np.subtract(16 - _K0, e, out=q)
+    np.take(scale, q, axis=1, out=floats[4:], mode="clip")
+    np.multiply(a, hi, out=p)
+    head, tail = hi, g
+    np.multiply(a, _SPLIT, out=head)
+    np.subtract(head, np.subtract(head, a, out=tail), out=head)
+    np.subtract(a, head, out=tail)
+    np.multiply(head, hi_head, out=t)
+    t -= p
+    t += np.multiply(head, hi_tail, out=head)
+    t += np.multiply(tail, hi_head, out=head)
+    t += np.multiply(tail, hi_tail, out=head)
+    t += np.multiply(a, lo, out=head)
+    r = np.rint(t, out=hi_head)
+    np.copyto(d, p, casting="unsafe")
+    np.copyto(q, r, casting="unsafe")
+    d += q
+    # the route mask; zeros keep the vector route, spelled as d = 0 at exponent 0
+    np.subtract(p, 1e16, out=g)
+    np.greater_equal(np.add(g, t, out=g), 0, out=vec)
+    vec &= in_range
+    vec &= np.less(d, 10**17, out=b)
+    np.subtract(0.5, np.abs(np.subtract(t, r, out=g), out=g), out=g)
+    vec &= np.greater_equal(g, _TIE, out=b)
+    vec |= np.equal(x, 0, out=b)
+    np.copyto(d, 0, where=out)
+    e += 400
+    # digit groups: d = c0 c1 c2 c3 c4, of 1, 4, 4, 4 and 4 digits; a
+    # value's six words are gathered from the word table at the six
+    # indices of its row of index (a d of 10^17, c0 = 10, goes to Python)
+    np.floor_divide(d, 10**8, out=q)
+    d -= np.multiply(q, 10**8, out=c1)
+    np.floor_divide(q, 10**8, out=k)
+    q -= np.multiply(k, 10**8, out=c1)
+    np.add(k, _LEAD, out=index[:, 0])
+    np.floor_divide(q, 10**4, out=c1)
+    np.subtract(q, np.multiply(c1, 10**4, out=c2), out=c2)
+    np.floor_divide(d, 10**4, out=c3)
+    np.subtract(d, np.multiply(c3, 10**4, out=c4), out=c4)
+    np.copyto(index[:, 1:5], ints[4:].T)
+    np.add(e, _EXP, out=index[:, 5])
+    index.reshape(rows, cols, 6)[:, -1, 5] += 800  # a newline after the last column
+    np.take(words, index, out=w, mode="clip")
+    # trailing zeros of d: c0 > 0 unless d = 0, so at most 16, and a zero
+    # keeps one digit
+    tz = np.take(trailing, ints[4:], out=tz4, mode="clip")[0]
+    for c in tz4[1:]:
+        tz *= np.equal(c, 4, out=b)
+        tz += c
+    np.take(keys, e, out=k, mode="clip")
+    k -= np.multiply(tz, 2, out=tz)
+    k += np.signbit(x, out=b)
+    w &= np.take(masks, k, axis=0, out=m, mode="clip")
+    if not vec.all():
+        # the Python route: one string format for them all, each padded to
+        # 24 characters, the most "%.17g" writes; the padding spaces become NULs
+        idx = np.flatnonzero(np.logical_not(vec, out=b))
+        text = ("%-24.17g" * idx.size % tuple(x[idx].tolist())).encode().translate(_SPACE_TO_NUL)
+        spelled = np.zeros((idx.size, 6), _U64LE)
+        spelled[:, :3] = np.frombuffer(text, _U64LE).reshape(-1, 3)
+        spelled[:, 5] = w[idx, 5] & (255 << 40)  # the separator
+        w[idx] = spelled
+    # the NULs are dropped a slice at a time, so that no allocation of a
+    # 4096-value part reaches 128 KB, where glibc maps fresh pages or
+    # hands freed ones back: translating the part's whole 197 KB layout
+    # at once cost a dynamics record 24k minor faults
+    return b"".join([w[i:i + _SLICE].tobytes().translate(None, b"\0") for i in range(0, n, _SLICE)])

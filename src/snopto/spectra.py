@@ -173,12 +173,15 @@ def _pick(prescription: str, **table):
 
 
 def evaluate(prescription: str, omega, params: SpectrumParams) -> OutputSpectrum:
+    """The prescription's spectrum on omega; DomainError if any value is not finite."""
     fn = _pick(prescription, qm=s_qm, pre=s_pre_total, post=s_post_total)
     omega = np.asarray(omega, dtype=float)
-    return OutputSpectrum(
-        grid=omega,
-        values=np.asarray(fn(omega, params), dtype=float),
-    )
+    with np.errstate(all="ignore"):
+        values = np.asarray(fn(omega, params), dtype=float)
+    bad = values.size - np.count_nonzero(np.isfinite(values))
+    if bad:
+        raise DomainError(f"the {prescription} spectrum has {bad} non-finite values")
+    return OutputSpectrum(grid=omega, values=values)
 
 
 def pre_feature(params: SpectrumParams) -> LorentzianFeature:

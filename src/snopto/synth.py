@@ -192,19 +192,6 @@ def target_autocovariance(model: BasebandModel, lag, dt: float | None = None):
     return cont if cont.ndim else float(cont)
 
 
-def _check_grid(n: int, dt: float):
-    if n < 1:
-        raise ConfigError("need n >= 1")
-    if dt <= 0:
-        raise ConfigError(f"dt must be > 0, got {dt}")
-
-
-def covariance_row(model: BasebandModel, n: int, dt: float) -> np.ndarray:
-    """First row of the n x n discrete covariance (Toeplitz) matrix."""
-    _check_grid(n, dt)
-    return target_autocovariance(model, np.arange(n) * dt, dt)
-
-
 @dataclass(frozen=True)
 class CovarianceFactor:
     """Exact Cholesky factor L of a baseband law's Toeplitz covariance.
@@ -289,7 +276,9 @@ def _recur(x: np.ndarray, coefs) -> None:
 
 
 def covariance_factor(model: BasebandModel, n: int, dt: float) -> CovarianceFactor:
-    """The O(n) Cholesky factor of the n x n covariance of covariance_row.
+    """The O(n) Cholesky factor of the n x n Toeplitz covariance of a record.
+
+    Its first row is target_autocovariance(model, np.arange(n) * dt, dt).
 
     With w = A x, Cov(w) is tridiagonal: r_0 then (1 + rho^2)/dt +
     s (1 - rho^2) on the diagonal, -rho/dt beside it. One scalar pass
@@ -302,7 +291,10 @@ def covariance_factor(model: BasebandModel, n: int, dt: float) -> CovarianceFact
     every step. The flat law has s = 0 and is taken with rho = 0, which
     makes the factor diagonal.
     """
-    _check_grid(n, dt)
+    if n < 1:
+        raise ConfigError("need n >= 1")
+    if dt <= 0:
+        raise ConfigError(f"dt must be > 0, got {dt}")
     s, rho = model.pole(dt)
     diag = (1.0 + rho * rho) / dt + s * (1.0 - rho * rho)
     off = -rho / dt

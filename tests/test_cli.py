@@ -2,6 +2,7 @@
 
 import argparse
 import hashlib
+import io
 import json
 import math
 import tracemalloc
@@ -12,9 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snopto import __version__, cli, feasibility, gaussian_dynamics, spectra
+from snopto import __version__, cli, csvtext, feasibility, gaussian_dynamics, spectra
 from snopto.cli import _ALL_KEYS, _SPECS, _emit_csv, build_parser, load_config, main, parse_quantity
-from snopto.csvtext import G17Rows
+from snopto.csvtext import write_rows
 from snopto.errors import ConfigError
 from snopto.feasibility import PRE_DESIGN, ExperimentConfig, pre_report
 from snopto.gaussian_dynamics import GaussianState, check_step, evolve_moments
@@ -234,6 +235,19 @@ class TestSpectrum:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("prescription", ["qm", "pre", "post"])
+    def test_non_finite_spectrum_is_one_error_line(self, tmp_path, capsys, prescription):
+        # at a mass of 1e-308 the responses overflow: every scalar of the
+        # run is finite, but 2202 spectrum values are not, and the run
+        # writes nothing and raises no numpy warning
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["spectrum", "--mass", "1e-308", "--prescription", prescription,
+                         "--outdir", str(tmp_path)]) == 1
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == f"error: the {prescription} spectrum has 2202 non-finite values\n"
+        assert not list(tmp_path.iterdir())
+
 
 class TestEmitCsv:
     """`_emit_csv` writes the bytes of np.savetxt(..., fmt="%.17g", header=...)."""
@@ -271,21 +285,33 @@ def _assert_rows_equal(got: bytes, want: bytes):
         pytest.fail(f"{len(bad)} rows differ, first {bad[0] if bad else (len(got), len(want))}")
 
 
+def _written(blocks) -> bytes:
+    """The bytes write_rows writes for blocks."""
+    fh = io.BytesIO()
+    write_rows(fh, blocks)
+    return fh.getvalue()
+
+
+class _Discard:
+    """A file that drops what is written to it."""
+
+    @staticmethod
+    def write(data):
+        return len(data)
+
+
 class TestG17Rows:
-    """`G17Rows` writes the bytes of Python's "%.17g", value for value."""
+    """`write_rows` writes the bytes of Python's "%.17g", value for value."""
 
     @staticmethod
     def check(values, cols=1):
         values = np.asarray(values, dtype=float).ravel()
         block = values[:values.size - values.size % cols].reshape(-1, cols)
-        rows_g17 = G17Rows()  # one formatter for every part, as _emit_csv uses it
-        for start in range(0, len(block), 4096):
-            part = block[start:start + 4096]
-            _assert_rows_equal(rows_g17(part), _percent_rows(part))
+        _assert_rows_equal(_written([block]), _percent_rows(block))
 
     def test_reuse_leaks_no_state(self, tmp_path):
-        # one formatter, many block sizes: a large block holding every kind
-        # of value the Python route takes (and -0.0), then smaller blocks of
+        # one call, many block sizes: a large block holding every kind of
+        # value the Python route takes (and -0.0), then smaller blocks of
         # ordinary values, one row, and a block larger than the first
         rng = np.random.default_rng(11)
         first = rng.standard_normal((4096, 7)) * 10.0 ** rng.integers(-20, 20, (4096, 7))
@@ -295,34 +321,49 @@ class TestG17Rows:
         first.ravel()[rng.choice(first.size, python_route.size, replace=False)] = python_route
         blocks = [first, rng.standard_normal((1000, 7)), rng.standard_normal((300, 7)) * 1e-16,
                   np.arange(7.0)[None, :] + 0.5, rng.standard_normal((4097, 7)) * 1e5]
-        rows_g17 = G17Rows()
-        for block in blocks:
-            _assert_rows_equal(rows_g17(block), _percent_rows(block))
+        _assert_rows_equal(_written(blocks), b"".join(map(_percent_rows, blocks)))
         _emit_csv(tmp_path / "got.csv", "test", {}, [f"c{i}" for i in range(7)], iter(blocks))
         np.savetxt(tmp_path / "want.csv", np.concatenate(blocks), fmt="%.17g",
                    header="\n".join(["command = test", f"version = {__version__}",
                                       ", ".join(f"c{i}" for i in range(7))]))
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
-    def test_reused_scratch_bounds_allocation(self):
-        # after a warm-up part sizes the scratch, a 4096-value part allocates
-        # only its text, about 46 bytes per value at the peak; a megabyte of
-        # numpy temporaries per part, 250 bytes per value, was handed back to
-        # the kernel and faulted in again part after part
+    def test_reused_scratch_bounds_allocation(self, monkeypatch):
+        # a file of 40 parts peaks no higher than a file of one part, plus
+        # one part's text: the memory a file holds at once, the scratch of
+        # about 280 bytes per value and one part's text, does not grow with
+        # the file; and the scratch is allocated once per file, not freed
+        # and faulted in again part after part, which the peak cannot show
         rng = np.random.default_rng(12)
-        rows_g17 = G17Rows()
+        block = rng.standard_normal((40 * 585, 7)) * 10.0 ** rng.integers(-30, 30, (40 * 585, 7))
+        one_part = block[:585]
+        write_rows(_Discard, [one_part])  # builds the lookup tables
+        peaks = []
         tracemalloc.start()
         try:
-            rows_g17(rng.standard_normal((586, 7)))
-            for _ in range(3):
-                part = rng.standard_normal((585, 7)) * 10.0 ** rng.integers(-30, 30, (585, 7))
+            for blocks in ([one_part], [block]):
                 tracemalloc.reset_peak()
                 before = tracemalloc.get_traced_memory()[0]
-                rows_g17(part)
-                peak = tracemalloc.get_traced_memory()[1] - before
-                assert peak <= 128 * part.size
+                write_rows(_Discard, blocks)
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
         finally:
             tracemalloc.stop()
+        assert peaks[0] > 250 * one_part.size  # the scratch is traced
+        assert peaks[1] <= peaks[0] + len(_percent_rows(one_part))
+        empties = []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def empty(*args, **kwargs):
+                empties.append(args)
+                return np.empty(*args, **kwargs)
+
+        monkeypatch.setattr(csvtext, "np", CountingNumpy())
+        write_rows(_Discard, [block])
+        assert len(empties) == len(csvtext._SCRATCH)
 
     @pytest.mark.parametrize("cols", [1, 7])
     def test_random_bit_patterns(self, cols):

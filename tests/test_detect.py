@@ -32,10 +32,10 @@ from snopto.synth import (
     TRIAL_BLOCK,
     BasebandModel,
     BasebandSeries,
-    covariance_row,
     gen_baseband,
     gen_ensemble,
     normals,
+    target_autocovariance,
 )
 
 DIP = BasebandModel("dip", amplitude=0.62, fwhm_gamma=1.0)
@@ -78,7 +78,7 @@ _FROZEN_Y = {
 
 
 def _dense_loglike(x, model, dt):
-    sigma = toeplitz(covariance_row(model, x.size, dt))
+    sigma = toeplitz(target_autocovariance(model, np.arange(x.size) * dt, dt))
     sign, logdet = np.linalg.slogdet(sigma)
     assert sign > 0
     quad = x @ np.linalg.solve(sigma, x)
@@ -90,7 +90,7 @@ def _dense_y(x, pair, dt):
 
 
 def _dense_record(model, z, dt):
-    return np.linalg.cholesky(toeplitz(covariance_row(model, z.size, dt))) @ z
+    return np.linalg.cholesky(toeplitz(target_autocovariance(model, np.arange(z.size) * dt, dt))) @ z
 
 
 def _brute_force_search(yf, ya, p):
@@ -239,7 +239,7 @@ class TestWhittle:
 
     def test_quadratic_form_error_scales_as_one_over_n(self):
         n, dt = 512, 0.14
-        sigma = toeplitz(covariance_row(DIP, n, dt))
+        sigma = toeplitz(target_autocovariance(DIP, np.arange(n) * dt, dt))
         inv = np.linalg.inv(sigma)
         theta = 2 * np.pi * np.arange(n) / n
         rho = math.exp(-DIP.fwhm_gamma * dt / 2)
@@ -349,12 +349,13 @@ class TestEngine:
 
     @pytest.mark.parametrize("truth", [FLAT, DIP])
     def test_one_trial_chunk_matches_wide_chunk(self, truth):
-        # 4099 trials over two workers leave trial 2048 alone in its chunk;
-        # a column sum of an (n, 1) block used to round differently from
-        # the same column inside a wider block
+        # 4097 trials make the chunks [0, 2048), [2048, 4096) and
+        # [4096, 4097), so trial 4096 is alone in its chunk, and two jobs
+        # take the pool; a column sum of an (n, 1) block used to round
+        # differently from the same column inside a wider block
         dt = 0.14
-        one = y_ensemble(truth, PAIR_DIP, 300 * dt, dt, 4099, master_seed=3, jobs=1)
-        two = y_ensemble(truth, PAIR_DIP, 300 * dt, dt, 4099, master_seed=3, jobs=2)
+        one = y_ensemble(truth, PAIR_DIP, 300 * dt, dt, 4097, master_seed=3, jobs=1)
+        two = y_ensemble(truth, PAIR_DIP, 300 * dt, dt, 4097, master_seed=3, jobs=2)
         assert np.array_equal(one, two)
         assert np.array_equal(one[:1], y_ensemble(truth, PAIR_DIP, 300 * dt, dt, 1, master_seed=3))
 

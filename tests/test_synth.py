@@ -23,7 +23,6 @@ from snopto.synth import (
     ComplexBaseband,
     DemodConfig,
     covariance_factor,
-    covariance_row,
     demodulate,
     gen_baseband,
     gen_ensemble,
@@ -41,7 +40,7 @@ SRC = Path(snopto.__file__).resolve().parents[1]
 
 
 def _dense_factor(model, n, dt):
-    return np.linalg.cholesky(toeplitz(covariance_row(model, n, dt)))
+    return np.linalg.cholesky(toeplitz(target_autocovariance(model, np.arange(n) * dt, dt)))
 
 
 def _full_factor_pass(model, n, dt):
@@ -142,7 +141,7 @@ class TestTargetAutocovariance:
         assert 0 < c_plus <= target_autocovariance(model, 0.0) * (1 + 1e-12)
 
     def test_covariance_row_structure(self):
-        row = covariance_row(PEAK, 8, 0.14)
+        row = target_autocovariance(PEAK, np.arange(8) * 0.14, 0.14)
         assert row.shape == (8,)
         assert row[0] == pytest.approx(9.642857142857142)
         assert row[1] == pytest.approx(2.5 * np.exp(-0.07))
@@ -157,7 +156,7 @@ class TestCovarianceFactor:
         x = lfac @ z
         assert np.abs(factor.colour(z) - x).max() <= 1e-11 * np.abs(x).max()
         assert np.abs(factor.whiten(x) - z).max() <= 1e-11 * np.abs(z).max()
-        sign, logdet = np.linalg.slogdet(toeplitz(covariance_row(model, n, dt)))
+        sign, logdet = np.linalg.slogdet(toeplitz(target_autocovariance(model, np.arange(n) * dt, dt)))
         assert sign > 0
         assert factor.logdet == pytest.approx(logdet, rel=1e-12)
 
